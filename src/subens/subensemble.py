@@ -23,7 +23,6 @@ from . import fmt
 from .operators import (
     ATOL,
     _square,
-    almost_equal,
     is_hermitian,
     is_projector,
     ket_to_json,
@@ -37,57 +36,78 @@ from .states import standard_ket
 POSITIVITY_ATOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MeasurementBasis:
     """Complete orthonormal set of rank-1 measurement outcomes.
 
-    ``vectors`` holds one unit ket per outcome; ``labels`` names the outcomes
+    ``matrix`` is the read-only d×d unitary V whose column f is the ket of
+    outcome f; ``vectors`` yields those kets. ``labels`` names the outcomes
     for rendering and serialization. ``name`` is set for the built-in Z and X
     bases and None for ad-hoc bases.
     """
 
-    vectors: tuple
+    matrix: np.ndarray
     labels: tuple
     name: str | None = None
 
-    def __post_init__(self):
-        vectors = tuple(np.asarray(v, dtype=complex) for v in self.vectors)
-        if not vectors:
+    def __init__(self, vectors, labels, name: str | None = None):
+        kets = [np.asarray(v, dtype=complex) for v in vectors]
+        if not kets:
             raise ValueError("basis must contain at least one vector")
-        dim = vectors[0].shape[0] if vectors[0].ndim == 1 else -1
-        for v in vectors:
-            if v.ndim != 1 or v.shape[0] != dim:
+        dim = kets[0].shape[0] if kets[0].ndim == 1 else -1
+        for k in kets:
+            if k.ndim != 1 or k.shape[0] != dim:
                 raise ValueError("basis vectors must be kets of a common dimension")
-        if len(vectors) != dim:
+        if len(kets) != dim:
             raise ValueError(
-                f"basis of dimension {dim} must have exactly {dim} vectors, got {len(vectors)}"
+                f"basis of dimension {dim} must have exactly {dim} vectors, got {len(kets)}"
             )
-        gram = np.array([[np.vdot(u, v) for v in vectors] for u in vectors])
-        if not almost_equal(gram, np.eye(dim)):
-            raise ValueError("basis vectors are not orthonormal")
-        completeness = sum(projector_from_ket(v) for v in vectors)
-        if not almost_equal(completeness, np.eye(dim)):
-            raise ValueError("basis is not complete")
-        labels = tuple(str(s) for s in self.labels)
+        v = np.stack(kets, axis=1)
+        if not np.isfinite(v).all():
+            raise ValueError("basis vectors have non-finite entries")
+        vh = v.conj().T
+        residual = _distance_from_identity(vh @ v)
+        if residual > ATOL:
+            raise ValueError(
+                f"basis vectors are not orthonormal: max|V^H V - I| = {residual:.3g} "
+                f"exceeds tolerance {ATOL:g}"
+            )
+        residual = _distance_from_identity(v @ vh)
+        if residual > ATOL:
+            raise ValueError(
+                f"basis is not complete: max|V V^H - I| = {residual:.3g} "
+                f"exceeds tolerance {ATOL:g}"
+            )
+        labels = tuple(str(s) for s in labels)
         if len(labels) != dim:
             raise ValueError("need one label per basis vector")
-        for v in vectors:
-            v.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
+        v.setflags(write=False)
+        object.__setattr__(self, "matrix", v)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "name", name)
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return self.matrix.shape[0]
+
+    @property
+    def vectors(self) -> tuple:
+        """The outcome kets, as read-only views of the columns of ``matrix``."""
+        return tuple(self.matrix.T)
 
     def projector(self, index: int) -> np.ndarray:
-        return projector_from_ket(self.vectors[index])
+        return projector_from_ket(self.matrix[:, index])
 
     def to_json(self):
         """Name for the built-in bases, otherwise the list of kets."""
         if self.name is not None:
             return self.name
         return [ket_to_json(v) for v in self.vectors]
+
+
+def _distance_from_identity(m: np.ndarray) -> float:
+    """max|m - I| over the entries of a square matrix."""
+    return float(np.abs(m - np.eye(m.shape[0])).max())
 
 
 def basis_from_kets(kets, labels=None, name: str | None = None) -> MeasurementBasis:
@@ -116,6 +136,8 @@ def named_basis(name: str) -> MeasurementBasis:
 def validate_density(rho, dim: int | None = None) -> np.ndarray:
     """Return rho as an array, raising unless it is a valid density matrix."""
     rho = _square(rho, "density matrix")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
     if dim is not None and rho.shape[0] != dim:
         raise ValueError(f"density matrix has dimension {rho.shape[0]}, expected {dim}")
     if not is_hermitian(rho):
@@ -143,16 +165,20 @@ def decompose(rho, basis: MeasurementBasis) -> list[SubensembleOperator]:
 
     The returned operators sum to rho exactly and their weights sum to 1;
     single terms may fail positive semidefiniteness, which is what makes the
-    joint tables built from them quasi-probabilities.
+    joint tables built from them quasi-probabilities. With u = rho V, each
+    term is the rank-1 form (u_f v_f^H + v_f u_f^H)/2, since rho is Hermitian.
     """
     rho = validate_density(rho, dim=basis.dim)
+    v = basis.matrix
+    u = rho @ v
+    vc = v.conj()
+    weights = (vc * u).sum(axis=0).real
     terms = []
-    for i, ket in enumerate(basis.vectors):
-        op = symmetric_product(rho, projector_from_ket(ket))
+    for f in range(basis.dim):
+        a = u[:, f, None] * vc[:, f]
+        op = 0.5 * (a + a.conj().T)
         op.setflags(write=False)
-        terms.append(
-            SubensembleOperator(operator=op, weight=float(np.trace(op).real), outcome_index=i)
-        )
+        terms.append(SubensembleOperator(operator=op, weight=float(weights[f]), outcome_index=f))
     return terms
 
 
@@ -224,22 +250,26 @@ def mh_joint(rho, basis_a: MeasurementBasis, basis_b: MeasurementBasis) -> Joint
 
     R_a are the decomposition terms of rho over basis_a; the result equals
     Re tr(P_b P_a rho) and is symmetric under exchanging the roles of the
-    two bases.
+    two bases. It is computed without forming the terms, as
+    q = Re(conj(Va^H Vb) * (Va^H rho Vb)) elementwise.
     """
     if basis_a.dim != basis_b.dim:
         raise ValueError(f"basis dimensions differ: {basis_a.dim} vs {basis_b.dim}")
-    terms = decompose(rho, basis_a)
-    q = np.empty((basis_a.dim, basis_b.dim), dtype=float)
-    for a, term in enumerate(terms):
-        for b, ket in enumerate(basis_b.vectors):
-            q[a, b] = float(np.vdot(ket, term.operator @ ket).real)
+    rho = validate_density(rho, dim=basis_a.dim)
+    vah = basis_a.matrix.conj().T
+    overlap = vah @ basis_b.matrix
+    q = (overlap.conj() * (vah @ rho @ basis_b.matrix)).real
     return JointQuasiDistribution(q=q, basis_a=basis_a, basis_b=basis_b)
 
 
 def negativity(dist) -> float:
-    """Total magnitude of negative entries; zero iff a true joint distribution."""
+    """Total magnitude of the entries below -ATOL; zero for a true joint distribution.
+
+    Entries in [-ATOL, 0) are rounding noise of a nonnegative table and count
+    as zero.
+    """
     if isinstance(dist, JointQuasiDistribution):
         q = dist.q
     else:
         q = np.asarray(dist, dtype=float)
-    return float(np.clip(-q, 0.0, None).sum())
+    return float(np.abs(q[q < -ATOL]).sum())

@@ -16,9 +16,14 @@ def random_density(rng, dim):
     return rho / np.trace(rho).real
 
 
-def random_basis(rng, dim):
+def random_unitary(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(a)
+    return q
+
+
+def random_basis(rng, dim):
+    q = random_unitary(rng, dim)
     return basis_from_kets([q[:, k] for k in range(dim)])
 
 

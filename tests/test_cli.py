@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,35 @@ class TestMalformedInputs:
         )
         assert code == 3
         assert "orthonormal" in err
+
+
+    @pytest.mark.parametrize("which", ["state", "basis"])
+    def test_non_finite_entries(self, capsys, zero_state, tmp_path, which):
+        # Python's json reads the NaN and Infinity literals as floats
+        path = tmp_path / "nonfinite.json"
+        if which == "state":
+            path.write_text("[[[NaN, 0], [0, 0]], [[0, 0], [Infinity, 0]]]")
+            argv = ["decompose", "--state", str(path), "--basis", "Z"]
+        else:
+            path.write_text("[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]")
+            argv = ["decompose", "--state", zero_state, "--basis", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err
+        assert "Traceback" not in err
+
+    def test_basis_error_gives_residual(self, capsys, zero_state, tmp_path):
+        s = 0.707107
+        path = tmp_path / "sixdigits.json"
+        path.write_text(json.dumps([[[s, 0], [s, 0]], [[s, 0], [-s, 0]]]))
+        code, _, err = run(
+            capsys, ["mh", "--state", zero_state, "--basis-a", "Z", "--basis-b", str(path)]
+        )
+        assert code == 3
+        assert "not orthonormal: max|V^H V - I| = 6.19e-07 exceeds tolerance 1e-12" in err
 
 
 class TestDeterminism:

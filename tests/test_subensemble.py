@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,41 @@ class TestMeasurementBasis:
         with pytest.raises(ValueError, match="orthonormal"):
             basis_from_kets([2 * standard_ket("0"), standard_ket("1")])
 
+    def test_matrix_holds_kets_as_columns(self):
+        basis = x_basis()
+        assert basis.matrix.shape == (2, 2)
+        assert not basis.matrix.flags.writeable
+        for k, ket in enumerate(basis.vectors):
+            assert np.array_equal(ket, basis.matrix[:, k])
+            assert np.array_equal(ket, standard_ket(basis.labels[k]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        ket = np.array([bad, 0.0], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                basis_from_kets([ket, standard_ket("1")])
+
+    def test_orthonormality_error_gives_residual(self):
+        # |+> and |-> typed to 6 digits: <f|f> = 2 * 0.707107**2 = 1 + 6.19e-7
+        s = 0.707107
+        with pytest.raises(ValueError, match="orthonormal") as exc:
+            basis_from_kets([[s, s], [s, -s]])
+        assert "max|V^H V - I| = 6.19e-07" in str(exc.value)
+        assert f"tolerance {ATOL:g}" in str(exc.value)
+
+    def test_completeness_error_gives_residual(self):
+        # V = diag(sqrt(1 + delta)) W with W unitary: V^H V - I = W^H diag(delta) W
+        # spreads delta over the entries (|entry| = 5e-13), while V V^H - I =
+        # diag(delta) keeps all of it (2e-12)
+        w = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+        v = np.sqrt(1 + np.array([2e-12, 0, 0, 0]))[:, None] * w
+        with pytest.raises(ValueError, match="not complete") as exc:
+            basis_from_kets(list(v.T))
+        assert "max|V V^H - I| = 2e-12" in str(exc.value)
+        assert f"tolerance {ATOL:g}" in str(exc.value)
+
 
 class TestValidateDensity:
     def test_accepts_valid(self):
@@ -68,6 +105,14 @@ class TestValidateDensity:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="negative eigenvalue"):
             validate_density(np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        rho = np.array([[bad, 0.0], [0.0, 0.5]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                validate_density(rho)
 
 
 class TestDecompose:
@@ -227,6 +272,14 @@ class TestNegativity:
     def test_true_distribution_has_zero(self):
         dist = mh_joint(PROJ_0, z_basis(), x_basis())
         assert negativity(dist) == 0.0
+
+    def test_classical_table_reads_exactly_zero(self):
+        # rho = |+><+| commutes with X, so the table is a true joint distribution
+        assert negativity(mh_joint(PROJ_PLUS, z_basis(), x_basis())) == 0.0
+
+    def test_rounding_noise_within_atol_counts_as_zero(self):
+        assert negativity([0.5, -ATOL, -1e-16, 0.5]) == 0.0
+        assert negativity([0.5, -2 * ATOL, 0.5]) == pytest.approx(2 * ATOL, abs=1e-20)
 
     def test_simple_array(self):
         assert negativity([0.5, 0.75, -0.25]) == pytest.approx(0.25, abs=ATOL)
