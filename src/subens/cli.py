@@ -18,11 +18,11 @@ from .operators import (
     ket_to_json,
     matrix_from_json,
     matrix_to_json,
-    pauli_expand,
     pauli_strings,
     projector_from_ket,
 )
 from .scenario import (
+    INPUT_PAIRS,
     OUTCOMES,
     ScenarioConsistencyError,
     contribution_table,
@@ -39,7 +39,7 @@ from .subensemble import (
     validate_density,
 )
 
-INPUT_CHOICES = ("00", "0+", "+0", "++")
+INPUT_CHOICES = tuple(a + b for a, b in INPUT_PAIRS)
 
 
 class InputFileError(Exception):
@@ -56,23 +56,18 @@ def _load_json(path: str):
         raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _looks_like_ket(data) -> bool:
-    return (
-        isinstance(data, list)
-        and bool(data)
-        and all(
-            isinstance(e, (list, tuple))
-            and len(e) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in e)
-            for e in data
-        )
-    )
+def _nesting(data) -> int:
+    """How many arrays deep the first element lies: 2 for a ket, 3 for a matrix."""
+    depth = 0
+    while isinstance(data, list) and data:
+        data, depth = data[0], depth + 1
+    return depth
 
 
 def _load_density(path: str):
     data = _load_json(path)
     try:
-        if _looks_like_ket(data):
+        if _nesting(data) == 2:
             rho = projector_from_ket(ket_from_json(data))
         else:
             rho = matrix_from_json(data)
@@ -99,6 +94,21 @@ def _load_basis(source: str, dim: int):
     return basis
 
 
+def _emit(fmt_name: str, doc, rows, text) -> None:
+    """Print one result in the requested format, building only that rendering.
+
+    ``doc()`` gives the JSON document, ``rows()`` the CSV rows with the header
+    first, and ``text()`` the pretty text.
+    """
+    if fmt_name == "json":
+        out = fmt.dumps(doc())
+    elif fmt_name == "csv":
+        out = "\n".join(fmt.csv_line(row) for row in rows())
+    else:
+        out = text()
+    print(out)
+
+
 def _expansion_text(expansion) -> str:
     parts = []
     for s, c in expansion.coeffs.items():
@@ -119,82 +129,70 @@ def _matrix_lines(m, pad: str = "  ") -> list:
 
 def _cmd_eta(args) -> int:
     basis = eta_basis()
-    expansions = [pauli_expand(p, 2) for p in basis.projectors]
     excluded = {str(i): "".join(basis.excluded_input[i]) for i in OUTCOMES}
-    if args.format == "json":
-        doc = {
-            "projectors": [expansion_to_json(e) for e in expansions],
-            "kets": [ket_to_json(k) for k in basis.kets],
-            "excluded_input": excluded,
-        }
-        print(fmt.dumps(doc))
-    elif args.format == "csv":
-        strings = list(pauli_strings(2))
-        lines = [fmt.csv_line(["outcome"] + strings)]
-        for i, e in zip(OUTCOMES, expansions):
-            lines.append(fmt.csv_line([i] + [e.coeffs.get(s, 0.0) for s in strings]))
-        print("\n".join(lines))
-    else:
+    strings = list(pauli_strings(2))
+
+    def text():
         lines = ["four-outcome entangled two-qubit measurement"]
-        for i, e, k in zip(OUTCOMES, expansions, basis.kets):
+        for i, e, k in zip(OUTCOMES, basis.expansions, basis.kets):
             lines.append(f"outcome {i}: excludes input {excluded[str(i)]}")
             lines.append(f"  expansion: {_expansion_text(e)}")
             lines.append(f"  ket: {_ket_text(k)}")
-        print("\n".join(lines))
+        return "\n".join(lines)
+
+    _emit(
+        args.format,
+        lambda: {
+            "projectors": [expansion_to_json(e) for e in basis.expansions],
+            "kets": [ket_to_json(k) for k in basis.kets],
+            "excluded_input": excluded,
+        },
+        lambda: [["outcome"] + strings]
+        + [
+            [i] + [e.coeffs.get(s, 0.0) for s in strings]
+            for i, e in zip(OUTCOMES, basis.expansions)
+        ],
+        text,
+    )
     return 0
 
 
 def _cmd_prob(args) -> int:
     first, second = parse_input_label(args.input)
     probs = [outcome_probability(i, first, second) for i in OUTCOMES]
-    if args.format == "json":
-        print(fmt.dumps({"input": args.input, "probabilities": probs}))
-    elif args.format == "csv":
-        lines = [fmt.csv_line(["outcome", "probability"])]
-        lines += [fmt.csv_line([i, p]) for i, p in zip(OUTCOMES, probs)]
-        print("\n".join(lines))
-    else:
-        lines = [f"outcome probabilities for input {args.input}"]
-        lines += [
-            f"outcome {i}: {fmt.format_float(p, fmt.PRETTY_DIGITS)}"
-            for i, p in zip(OUTCOMES, probs)
-        ]
-        print("\n".join(lines))
+    _emit(
+        args.format,
+        lambda: {"input": args.input, "probabilities": probs},
+        lambda: [["outcome", "probability"]] + [list(r) for r in zip(OUTCOMES, probs)],
+        lambda: "\n".join(
+            [f"outcome probabilities for input {args.input}"]
+            + [
+                f"outcome {i}: {fmt.format_float(p, fmt.PRETTY_DIGITS)}"
+                for i, p in zip(OUTCOMES, probs)
+            ]
+        ),
+    )
     return 0
 
 
 def _cmd_table(args) -> int:
-    first, second = parse_input_label(args.input)
-    table = contribution_table(first, second)
-    if args.format == "json":
-        print(fmt.dumps(table.to_json_dict()))
-    elif args.format == "csv":
-        print(table.to_csv())
-    else:
-        print(table.render())
+    table = contribution_table(*parse_input_label(args.input))
+    _emit(args.format, table.to_json_dict, table.labelled_rows, table.render)
     return 0
 
 
 def _cmd_verify(args) -> int:
     report = verify_paradox()
-    if args.format == "json":
-        print(fmt.dumps(report.to_json_dict()))
-    elif args.format == "csv":
-        lines = [fmt.csv_line(["input", "excluded_outcome", "born_probability", "negative_rows"])]
-        for r in report.inputs:
-            lines.append(
-                fmt.csv_line(
-                    [
-                        r.input_label,
-                        r.excluded_outcome,
-                        r.born_probability,
-                        "|".join(r.negative_contributors()),
-                    ]
-                )
-            )
-        print("\n".join(lines))
-    else:
-        print(report.render())
+
+    def rows():
+        header = ["input", "excluded_outcome", "born_probability", "negative_rows"]
+        return [header] + [
+            [r.input_label, r.excluded_outcome, r.born_probability]
+            + ["|".join(r.negative_contributors())]
+            for r in report.inputs
+        ]
+
+    _emit(args.format, report.to_json_dict, rows, report.render)
     if not report.passed:
         failed = [c.name for c in report.checks if not c.passed]
         print(f"error: verification failed: {', '.join(failed)}", file=sys.stderr)
@@ -206,8 +204,9 @@ def _cmd_decompose(args) -> int:
     rho = _load_density(args.state)
     basis = _load_basis(args.basis, rho.shape[0])
     terms = decompose(rho, basis)
-    if args.format == "json":
-        doc = {
+
+    def doc():
+        return {
             "basis": basis.to_json(),
             "terms": [
                 {
@@ -219,22 +218,18 @@ def _cmd_decompose(args) -> int:
                 for t in terms
             ],
         }
-        print(fmt.dumps(doc))
-    elif args.format == "csv":
-        dim = basis.dim
+
+    def rows():
+        d = range(basis.dim)
         header = ["outcome", "label", "weight"]
-        for i in range(dim):
-            for j in range(dim):
-                header += [f"r{i}c{j}_re", f"r{i}c{j}_im"]
-        lines = [fmt.csv_line(header)]
-        for t in terms:
-            cells = [t.outcome_index, basis.labels[t.outcome_index], t.weight]
-            for row in t.operator:
-                for z in row:
-                    cells += [float(z.real), float(z.imag)]
-            lines.append(fmt.csv_line(cells))
-        print("\n".join(lines))
-    else:
+        header += [f"r{i}c{j}_{part}" for i in d for j in d for part in ("re", "im")]
+        return [header] + [
+            [t.outcome_index, basis.labels[t.outcome_index], t.weight]
+            + [v for z in t.operator.ravel().tolist() for v in (z.real, z.imag)]
+            for t in terms
+        ]
+
+    def text():
         name = basis.name or "custom"
         lines = [f"sub-ensemble decomposition over basis {name} (dim {basis.dim})"]
         for t in terms:
@@ -243,7 +238,9 @@ def _cmd_decompose(args) -> int:
                 f"weight {fmt.format_float(t.weight, fmt.PRETTY_DIGITS)}"
             )
             lines += _matrix_lines(t.operator)
-        print("\n".join(lines))
+        return "\n".join(lines)
+
+    _emit(args.format, doc, rows, text)
     return 0
 
 
@@ -252,33 +249,19 @@ def _cmd_mh(args) -> int:
     basis_a = _load_basis(args.basis_a, rho.shape[0])
     basis_b = _load_basis(args.basis_b, rho.shape[0])
     dist = mh_joint(rho, basis_a, basis_b)
-    if args.format == "json":
-        print(fmt.dumps(dist.to_json_dict()))
-    elif args.format == "csv":
-        print(dist.to_csv())
-    else:
-        name_a = basis_a.name or "A"
-        name_b = basis_b.name or "B"
-        header = ["q(a,b)"] + list(basis_b.labels)
-        rows = [
-            [label] + [float(v) for v in row]
-            for label, row in zip(basis_a.labels, dist.q)
-        ]
-        lines = [
-            f"joint quasi-probability: rows {name_a}, columns {name_b}",
-            fmt.render_table(header, rows),
-        ]
-        print("\n".join(lines))
-    return 0
+    labels_b = list(basis_b.labels)
 
+    def rows():
+        return fmt.labelled_rows(basis_a.labels, dist.q)
 
-def _add_format(parser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("json", "csv", "pretty"),
-        default="pretty",
-        help="output format (default: pretty)",
+    _emit(
+        args.format,
+        dist.to_json_dict,
+        lambda: [[""] + labels_b] + rows(),
+        lambda: f"joint quasi-probability: rows {basis_a.name or 'A'}, "
+        f"columns {basis_b.name or 'B'}\n" + fmt.render_table(["q(a,b)"] + labels_b, rows()),
     )
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -291,37 +274,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("eta", help="print the four-outcome entangled measurement")
-    _add_format(p)
-    p.set_defaults(func=_cmd_eta)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument(
+            "--format",
+            choices=("json", "csv", "pretty"),
+            default="pretty",
+            help="output format (default: pretty)",
+        )
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("prob", help="outcome probabilities for a product input")
-    p.add_argument("--input", required=True, choices=INPUT_CHOICES)
-    _add_format(p)
-    p.set_defaults(func=_cmd_prob)
+    command("eta", _cmd_eta, "print the four-outcome entangled measurement")
+    for name, func, help in (
+        ("prob", _cmd_prob, "outcome probabilities for a product input"),
+        ("table", _cmd_table, "sub-ensemble contribution table for a product input"),
+    ):
+        command(name, func, help).add_argument("--input", required=True, choices=INPUT_CHOICES)
+    command("verify", _cmd_verify, "verify every exclusion invariant of the scenario")
 
-    p = sub.add_parser("table", help="sub-ensemble contribution table for a product input")
-    p.add_argument("--input", required=True, choices=INPUT_CHOICES)
-    _add_format(p)
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("verify", help="verify every exclusion invariant of the scenario")
-    _add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("decompose", help="decompose a state file over a basis")
+    basis_help = "Z, X, or a JSON ket-list file"
+    p = command("decompose", _cmd_decompose, "decompose a state file over a basis")
     p.add_argument("--state", required=True, help="JSON matrix or ket file")
-    p.add_argument("--basis", required=True, help="Z, X, or a JSON ket-list file")
-    _add_format(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("mh", help="joint quasi-probability table of a state over two bases")
+    p.add_argument("--basis", required=True, help=basis_help)
+    p = command("mh", _cmd_mh, "joint quasi-probability table of a state over two bases")
     p.add_argument("--state", required=True, help="JSON matrix or ket file")
-    p.add_argument("--basis-a", required=True, help="Z, X, or a JSON ket-list file")
-    p.add_argument("--basis-b", required=True, help="Z, X, or a JSON ket-list file")
-    _add_format(p)
-    p.set_defaults(func=_cmd_mh)
-
+    p.add_argument("--basis-a", required=True, help=basis_help)
+    p.add_argument("--basis-b", required=True, help=basis_help)
     return parser
 
 

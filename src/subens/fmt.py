@@ -99,6 +99,12 @@ def csv_line(cells, digits: int = JSON_DIGITS) -> str:
     return ",".join(parts)
 
 
+def labelled_rows(labels, values) -> list:
+    """Rows for ``csv_line`` and ``render_table``: each label, then its row of
+    the 2-D array ``values`` as floats."""
+    return [[label, *row] for label, row in zip(labels, values.tolist())]
+
+
 def render_table(header, rows, digits: int = PRETTY_DIGITS) -> str:
     """Fixed-width table: first column left-justified, the rest right-justified."""
     text_rows = [list(header)]

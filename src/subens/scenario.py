@@ -7,11 +7,14 @@ even though all four inputs share the sub-ensemble that assigns z=0, x=+ to
 both qubits. The contribution tables computed here decompose each input into
 its four assignment-operator products and show how negative quasi-probability
 entries cancel the shared positive term wherever an outcome is excluded.
+
+Each call builds the arrays it reads once, and nothing is cached between calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import product
 
 import numpy as np
 
@@ -24,7 +27,6 @@ from .operators import (
     is_projector,
     pauli_synthesize,
     projector_from_ket,
-    tensor,
 )
 from .states import product_input, standard_ket
 from .subensemble import assignment_operator
@@ -52,6 +54,28 @@ ASSIGNMENT_COMPONENTS = {
 
 COMMON_COMPONENT = ("0", "+")
 
+# The distinct components above (z label, then x label) and each preparation's
+# two components as indices into them. Row (s;t) of a contribution table is
+# the Kronecker product of the assignment operators of components s and t.
+_COMPONENTS = ("0+", "0-", "1+")
+_PARTS = {p: [_COMPONENTS.index(z + x) for z, x in cs] for p, cs in ASSIGNMENT_COMPONENTS.items()}
+# (input, row) -> the row's two components, in INPUT_PAIRS order
+_ROW_FACTORS = np.array([list(product(_PARTS[a], _PARTS[b])) for a, b in INPUT_PAIRS])
+_ROW_LABELS = tuple(
+    tuple(f"({_COMPONENTS[s]};{_COMPONENTS[t]})" for s, t in rows) for rows in _ROW_FACTORS
+)
+
+# What each check of verify_paradox asserts, in report order.
+_CHECK_DETAILS = {
+    "measurement-construction": "four rank-1 projectors, mutually orthogonal and complete",
+    "exclusion-bijection": "each outcome excludes exactly one input ({exclusions})",
+    "excluded-born-zero": "every excluded input has Born probability 0 at its outcome",
+    "row-normalization": "every sub-ensemble row sums to 1 across the four outcomes",
+    "common-subensemble-flat": "row {common} contributes 1/4 to every outcome for all inputs",
+    "born-consistency": "quarter column sums reproduce the Born probabilities for all inputs",
+    "negative-cancellation": "each excluded outcome receives negative sub-ensemble contributions",
+}
+
 
 class ScenarioConsistencyError(RuntimeError):
     """The built-in measurement failed its own verification."""
@@ -64,17 +88,83 @@ def eta_projector(i: int) -> np.ndarray:
     return pauli_synthesize(PauliExpansion(n=2, coeffs=ETA_EXPANSIONS[i]))
 
 
-@dataclass(frozen=True)
+def _build() -> tuple:
+    """The measurement as arrays, built from ETA_EXPANSIONS without checks.
+
+    Returns the Pauli expansions, the read-only (outcome, 4, 4) projector
+    stack and the (outcome, input) Born matrix over INPUT_PAIRS.
+    """
+    expansions = tuple(PauliExpansion(n=2, coeffs=ETA_EXPANSIONS[i]) for i in OUTCOMES)
+    projectors = np.stack([pauli_synthesize(e) for e in expansions])
+    projectors.setflags(write=False)
+    rho = np.stack([product_input(*pair).density for pair in INPUT_PAIRS])
+    return expansions, projectors, np.einsum("oij,nji->on", projectors, rho).real
+
+
+def _contributions(projectors: np.ndarray) -> np.ndarray:
+    """(input, row, outcome) tensor of the contribution tables."""
+    ops = np.stack(
+        [
+            assignment_operator(
+                projector_from_ket(standard_ket(z)), projector_from_ket(standard_ket(x))
+            )
+            for z, x in _COMPONENTS
+        ]
+    )
+    # kron(ops[s], ops[t]) for every pair of components, as (s, t, 4, 4)
+    joint = np.einsum("sij,tkl->stikjl", ops, ops).reshape(3, 3, 4, 4)
+    grid = np.einsum("oij,stji->sto", projectors, joint).real
+    return grid[_ROW_FACTORS[..., 0], _ROW_FACTORS[..., 1]]
+
+
+def _excluded_inputs(projectors: np.ndarray, born: np.ndarray) -> dict:
+    """Check the measurement and map each outcome to the input it excludes.
+
+    Raises ScenarioConsistencyError unless the projectors are rank-1,
+    orthogonal and complete, and each outcome has Born probability 0 for
+    exactly one input, bijectively, with outcome 1 excluding "00".
+    """
+    for i, p in zip(OUTCOMES, projectors):
+        if not is_projector(p) or abs(np.trace(p).real - 1.0) > ATOL:
+            raise ScenarioConsistencyError(
+                f"outcome {i} coefficients do not synthesize a rank-1 projector"
+            )
+    if not almost_equal(projectors.sum(axis=0), np.eye(4)):
+        raise ScenarioConsistencyError("projectors do not sum to the identity")
+    products = projectors[:, None] @ projectors[None]
+    for a, b in zip(*np.triu_indices(4, k=1)):
+        if not almost_equal(products[a, b], np.zeros((4, 4))):
+            raise ScenarioConsistencyError(f"outcomes {a + 1} and {b + 1} are not orthogonal")
+
+    zeros = np.abs(born) <= ATOL
+    for i, row in zip(OUTCOMES, zeros):
+        if row.sum() != 1:
+            raise ScenarioConsistencyError(
+                f"outcome {i} excludes {int(row.sum())} inputs instead of exactly one"
+            )
+    if not zeros.any(axis=0).all():
+        raise ScenarioConsistencyError("exclusion map is not a bijection")
+    excluded = {i: INPUT_PAIRS[int(np.argmax(row))] for i, row in zip(OUTCOMES, zeros)}
+    if excluded[1] != ("0", "0"):
+        raise ScenarioConsistencyError(
+            f"outcome 1 must exclude input 00, found {''.join(excluded[1])}"
+        )
+    return excluded
+
+
+@dataclass(frozen=True, eq=False)
 class EtaBasis:
     """The verified four-outcome measurement.
 
     ``excluded_input`` maps each outcome index to the preparation pair it
-    assigns zero probability.
+    assigns zero probability. ``expansions`` are the Pauli coefficient tables
+    the projectors were synthesized from.
     """
 
     projectors: tuple
     kets: tuple
     excluded_input: dict
+    expansions: tuple
 
     def outcome_excluding(self, first: str, second: str) -> int:
         for i, pair in self.excluded_input.items():
@@ -90,25 +180,8 @@ def eta_basis() -> EtaBasis:
     rank-1 / orthogonality / completeness checks or do not produce the
     one-excluded-input-per-outcome pattern with outcome 1 excluding "00".
     """
-    projectors = []
-    for i in OUTCOMES:
-        p = eta_projector(i)
-        if not is_projector(p) or abs(np.trace(p).real - 1.0) > ATOL:
-            raise ScenarioConsistencyError(
-                f"outcome {i} coefficients do not synthesize a rank-1 projector"
-            )
-        p.setflags(write=False)
-        projectors.append(p)
-
-    if not almost_equal(sum(projectors), np.eye(4)):
-        raise ScenarioConsistencyError("projectors do not sum to the identity")
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if not almost_equal(projectors[a] @ projectors[b], np.zeros((4, 4))):
-                raise ScenarioConsistencyError(
-                    f"outcomes {a + 1} and {b + 1} are not orthogonal"
-                )
-
+    expansions, projectors, born = _build()
+    excluded = _excluded_inputs(projectors, born)
     kets = []
     for i, p in zip(OUTCOMES, projectors):
         vals, vecs = np.linalg.eigh(p)
@@ -119,48 +192,21 @@ def eta_basis() -> EtaBasis:
             )
         ket.setflags(write=False)
         kets.append(ket)
-
-    excluded = {}
-    for i, p in zip(OUTCOMES, projectors):
-        zeros = [
-            pair
-            for pair in INPUT_PAIRS
-            if abs(np.trace(p @ product_input(*pair).density).real) <= ATOL
-        ]
-        if len(zeros) != 1:
-            raise ScenarioConsistencyError(
-                f"outcome {i} excludes {len(zeros)} inputs instead of exactly one"
-            )
-        excluded[i] = zeros[0]
-    if len(set(excluded.values())) != len(INPUT_PAIRS):
-        raise ScenarioConsistencyError("exclusion map is not a bijection")
-    if excluded[1] != ("0", "0"):
-        raise ScenarioConsistencyError(
-            f"outcome 1 must exclude input 00, found {''.join(excluded[1])}"
-        )
-
-    return EtaBasis(projectors=tuple(projectors), kets=tuple(kets), excluded_input=excluded)
-
-
-def outcome_probability(i: int, first: str, second: str) -> float:
-    """Born probability of outcome i for the product input, clamped to [0, 1]."""
-    rho = product_input(first, second).density
-    p = float(np.trace(eta_projector(i) @ rho).real)
-    return min(max(p, 0.0), 1.0)
-
-
-def _assignment(z_label: str, x_label: str) -> np.ndarray:
-    return assignment_operator(
-        projector_from_ket(standard_ket(z_label)),
-        projector_from_ket(standard_ket(x_label)),
+    return EtaBasis(
+        projectors=tuple(projectors),
+        kets=tuple(kets),
+        excluded_input=excluded,
+        expansions=expansions,
     )
 
 
-def _component_label(component: tuple) -> str:
-    return component[0] + component[1]
+def outcome_probability(i: int, first: str, second: str) -> float:
+    """Born probability of outcome i for the product input, never clamped."""
+    rho = product_input(first, second).density
+    return float(np.trace(eta_projector(i) @ rho).real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContributionTable:
     """Sub-ensemble-by-outcome table for one product input.
 
@@ -195,37 +241,27 @@ class ContributionTable:
             "input": self.input_label,
             "outcomes": list(OUTCOMES),
             "rows": list(self.row_labels),
-            "entries": [[float(v) for v in row] for row in self.entries],
+            "entries": self.entries.tolist(),
         }
 
-    def to_csv(self) -> str:
-        return "\n".join(fmt.csv_line(row) for row in self.entries)
+    def labelled_rows(self) -> list:
+        """Header row, then one row per sub-ensemble: its label and entries."""
+        header = [f"input {self.input_label}"] + [f"eta_{i}" for i in OUTCOMES]
+        return [header] + fmt.labelled_rows(self.row_labels, self.entries)
 
     def render(self) -> str:
-        header = [f"input {self.input_label}"] + [f"eta_{i}" for i in OUTCOMES]
-        rows = [
-            [label] + [float(v) for v in row]
-            for label, row in zip(self.row_labels, self.entries)
-        ]
-        return fmt.render_table(header, rows)
+        rows = self.labelled_rows()
+        return fmt.render_table(rows[0], rows[1:])
 
 
 def contribution_table(first: str, second: str) -> ContributionTable:
     """Contribution of each assignment-product sub-ensemble to each outcome."""
-    for label in (first, second):
-        if label not in ASSIGNMENT_COMPONENTS:
-            raise ValueError(f"unknown preparation label {label!r}; expected 0 or +")
-    projectors = [eta_projector(i) for i in OUTCOMES]
-    labels = []
-    rows = []
-    for s in ASSIGNMENT_COMPONENTS[first]:
-        op_s = _assignment(*s)
-        for t in ASSIGNMENT_COMPONENTS[second]:
-            joint = tensor(op_s, _assignment(*t))
-            labels.append(f"({_component_label(s)};{_component_label(t)})")
-            rows.append([float(np.trace(p @ joint).real) for p in projectors])
+    if (first, second) not in INPUT_PAIRS:
+        raise ValueError(f"unknown preparation labels {first!r}, {second!r}; expected 0 or +")
+    n = INPUT_PAIRS.index((first, second))
+    contributions = _contributions(_build()[1])
     return ContributionTable(
-        first=first, second=second, row_labels=tuple(labels), entries=np.array(rows)
+        first=first, second=second, row_labels=_ROW_LABELS[n], entries=contributions[n]
     )
 
 
@@ -235,25 +271,13 @@ class RowReport:
     entries: tuple
     negatives: tuple  # 1-based outcome indices with a negative entry
 
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "entries": [float(v) for v in self.entries],
-            "negatives": list(self.negatives),
-        }
-
 
 @dataclass(frozen=True)
 class InputReport:
-    first: str
-    second: str
+    input_label: str
     excluded_outcome: int
     born_probability: float
     rows: tuple
-
-    @property
-    def input_label(self) -> str:
-        return self.first + self.second
 
     def negative_contributors(self) -> tuple:
         """Rows whose entry at the excluded outcome is negative."""
@@ -265,8 +289,8 @@ class InputReport:
         return {
             "input": self.input_label,
             "excluded_outcome": self.excluded_outcome,
-            "born_probability": float(self.born_probability),
-            "rows": [r.to_json_dict() for r in self.rows],
+            "born_probability": self.born_probability,
+            "rows": [asdict(r) for r in self.rows],
         }
 
 
@@ -281,15 +305,15 @@ class CheckResult:
 class ParadoxReport:
     inputs: tuple
     checks: tuple
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "inputs": [r.to_json_dict() for r in self.inputs],
         }
 
@@ -309,9 +333,7 @@ class ParadoxReport:
                 f"  negative contributors to outcome {r.excluded_outcome}: {contributors}"
             )
             header = [f"  input {r.input_label}"] + [f"eta_{i}" for i in OUTCOMES]
-            table_rows = [
-                ["  " + row.label] + [float(v) for v in row.entries] for row in r.rows
-            ]
+            table_rows = [["  " + row.label, *row.entries] for row in r.rows]
             lines.append(fmt.render_table(header, table_rows))
         return "\n".join(lines)
 
@@ -322,107 +344,46 @@ def verify_paradox() -> ParadoxReport:
     Never raises: a broken construction shows up as a failed check so that
     callers can render the report and map it to an exit status.
     """
+    _, projectors, born = _build()
     try:
-        basis = eta_basis()
+        excluded = _excluded_inputs(projectors, born)
     except ScenarioConsistencyError as exc:
         return ParadoxReport(
-            inputs=(),
-            checks=(CheckResult("measurement-construction", False, str(exc)),),
-            passed=False,
+            inputs=(), checks=(CheckResult("measurement-construction", False, str(exc)),)
         )
 
-    checks = [
-        CheckResult(
-            "measurement-construction",
-            True,
-            "four rank-1 projectors, mutually orthogonal and complete",
-        )
-    ]
-
-    exclusions = ", ".join(
-        f"{i}->{''.join(basis.excluded_input[i])}" for i in OUTCOMES
+    contributions = _contributions(projectors)
+    inputs = np.arange(len(INPUT_PAIRS))
+    outcomes = np.abs(born).argmin(axis=0)  # 0-based excluded outcome of each input
+    excluded_born = born[outcomes, inputs]
+    at_excluded = contributions[inputs, :, outcomes]  # (input, row)
+    common = "({0};{0})".format("".join(COMMON_COMPONENT))
+    passed = {
+        "measurement-construction": True,
+        "exclusion-bijection": True,
+        "excluded-born-zero": bool(np.all(excluded_born <= ATOL)),
+        "row-normalization": almost_equal(contributions.sum(axis=2), np.ones((4, 4))),
+        "common-subensemble-flat": almost_equal(
+            contributions[np.array(_ROW_LABELS) == common], np.full((4, 4), 0.25)
+        ),
+        "born-consistency": almost_equal(contributions.sum(axis=1) / 4.0, born.T),
+        "negative-cancellation": bool(np.all((at_excluded < -ATOL).any(axis=1))),
+    }
+    exclusions = ", ".join(f"{i}->{''.join(excluded[i])}" for i in OUTCOMES)
+    checks = tuple(
+        CheckResult(name, ok, _CHECK_DETAILS[name].format(exclusions=exclusions, common=common))
+        for name, ok in passed.items()
     )
-    checks.append(
-        CheckResult(
-            "exclusion-bijection",
-            True,
-            f"each outcome excludes exactly one input ({exclusions})",
+    reports = tuple(
+        InputReport(
+            input_label=first + second,
+            excluded_outcome=OUTCOMES[outcomes[n]],
+            born_probability=float(excluded_born[n]),
+            rows=tuple(
+                RowReport(label, tuple(row), tuple(i for i, v in zip(OUTCOMES, row) if v < -ATOL))
+                for label, row in zip(_ROW_LABELS[n], contributions[n].tolist())
+            ),
         )
+        for n, (first, second) in enumerate(INPUT_PAIRS)
     )
-
-    inputs = []
-    common_label = f"({_component_label(COMMON_COMPONENT)};{_component_label(COMMON_COMPONENT)})"
-    born_ok = True
-    rows_ok = True
-    common_ok = True
-    bridge_ok = True
-    cancel_ok = True
-    for pair in INPUT_PAIRS:
-        table = contribution_table(*pair)
-        excluded = basis.outcome_excluding(*pair)
-        born = outcome_probability(excluded, *pair)
-        born_ok &= born <= ATOL
-
-        rows = []
-        for label, entries in zip(table.row_labels, table.entries):
-            negatives = tuple(
-                i for i, v in zip(OUTCOMES, entries) if v < -ATOL
-            )
-            rows.append(
-                RowReport(label=label, entries=tuple(float(v) for v in entries), negatives=negatives)
-            )
-            if label == common_label:
-                common_ok &= bool(np.all(np.abs(entries - 0.25) <= ATOL))
-        rows_ok &= bool(np.all(np.abs(table.row_sums() - 1.0) <= ATOL))
-
-        borns = np.array([outcome_probability(i, *pair) for i in OUTCOMES])
-        bridge_ok &= bool(np.all(np.abs(table.column_probabilities() - borns) <= ATOL))
-
-        report = InputReport(
-            first=pair[0],
-            second=pair[1],
-            excluded_outcome=excluded,
-            born_probability=born,
-            rows=tuple(rows),
-        )
-        cancel_ok &= len(report.negative_contributors()) > 0
-        inputs.append(report)
-
-    checks.append(
-        CheckResult(
-            "excluded-born-zero",
-            born_ok,
-            "every excluded input has Born probability 0 at its outcome",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "row-normalization",
-            rows_ok,
-            "every sub-ensemble row sums to 1 across the four outcomes",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "common-subensemble-flat",
-            common_ok,
-            f"row {common_label} contributes 1/4 to every outcome for all inputs",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "born-consistency",
-            bridge_ok,
-            "quarter column sums reproduce the Born probabilities for all inputs",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "negative-cancellation",
-            cancel_ok,
-            "each excluded outcome receives negative sub-ensemble contributions",
-        )
-    )
-
-    passed = all(c.passed for c in checks)
-    return ParadoxReport(inputs=tuple(inputs), checks=tuple(checks), passed=passed)
+    return ParadoxReport(inputs=reports, checks=checks)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fmt
 from .operators import (
     ATOL,
     _square,
@@ -36,7 +35,7 @@ from .states import standard_ket
 POSITIVITY_ATOL = 1e-10
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class MeasurementBasis:
     """Complete orthonormal set of rank-1 measurement outcomes.
 
@@ -151,7 +150,7 @@ def validate_density(rho, dim: int | None = None) -> np.ndarray:
     return rho
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubensembleOperator:
     """One decomposition term: Hermitian, trace equal to the outcome probability."""
 
@@ -204,7 +203,7 @@ def assignment_operator(pa, pb) -> np.ndarray:
     return sym / overlap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointQuasiDistribution:
     """Real joint quasi-probability table over two measurement bases.
 
@@ -234,15 +233,8 @@ class JointQuasiDistribution:
         return {
             "basisA": self.basis_a.to_json(),
             "basisB": self.basis_b.to_json(),
-            "q": [[float(v) for v in row] for row in self.q],
+            "q": self.q.tolist(),
         }
-
-    def to_csv(self) -> str:
-        """CSV grid with basis_b labels as columns and basis_a labels as rows."""
-        lines = [fmt.csv_line([""] + list(self.basis_b.labels))]
-        for label, row in zip(self.basis_a.labels, self.q):
-            lines.append(fmt.csv_line([label] + [float(v) for v in row]))
-        return "\n".join(lines)
 
 
 def mh_joint(rho, basis_a: MeasurementBasis, basis_b: MeasurementBasis) -> JointQuasiDistribution:

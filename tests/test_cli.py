@@ -92,10 +92,13 @@ class TestTable:
     def test_csv_first_row(self, capsys):
         code, out, _ = run(capsys, ["table", "--input", "00", "--format", "csv"])
         assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "0.25,0.25,0.25,0.25"
-        assert lines[1] == "-0.25,0.75,-0.25,0.75"
-        assert len(lines) == 4
+        assert out.splitlines() == [
+            "input 00,eta_1,eta_2,eta_3,eta_4",
+            "(0+;0+),0.25,0.25,0.25,0.25",
+            "(0+;0-),-0.25,0.75,-0.25,0.75",
+            "(0-;0+),-0.25,-0.25,0.75,0.75",
+            "(0-;0-),0.25,0.25,0.25,0.25",
+        ]
 
     def test_json_document(self, capsys):
         code, out, _ = run(capsys, ["table", "--input", "0+", "--format", "json"])
@@ -247,6 +250,14 @@ class TestMalformedInputs:
         code, _, err = run(capsys, ["decompose", "--state", str(path), "--basis", "Z"])
         assert code == 3
         assert "trace" in err
+
+    def test_malformed_ket(self, capsys, tmp_path):
+        path = tmp_path / "badket.json"
+        path.write_text(json.dumps([[1, 0], [0]]))
+        code, out, err = run(capsys, ["decompose", "--state", str(path), "--basis", "Z"])
+        assert code == 3
+        assert out == ""
+        assert "ket amplitude 1: a complex number must be a [re, im] pair" in err
 
     def test_basis_dimension_mismatch(self, capsys, tmp_path):
         path = tmp_path / "fourdim.json"

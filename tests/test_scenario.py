@@ -126,6 +126,11 @@ class TestOutcomeProbability:
                 total += p
             assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_defective_measurement_is_not_clamped(self, monkeypatch):
+        # a negative probability must reach the checks that would catch it
+        monkeypatch.setitem(scenario.ETA_EXPANSIONS[1], "ZZ", -0.5)
+        assert outcome_probability(1, "0", "0") == -0.25
+
 
 class TestContributionTable:
     def test_input_00_reproduces_tabulated_values(self):
@@ -175,9 +180,14 @@ class TestContributionTable:
             contribution_table("1", "0")
 
     def test_csv_layout(self):
-        lines = contribution_table("0", "0").to_csv().splitlines()
-        assert lines[0] == "0.25,0.25,0.25,0.25"
-        assert len(lines) == 4
+        # the rows that both table --format csv and pretty print
+        assert contribution_table("0", "+").labelled_rows() == [
+            ["input 0+", "eta_1", "eta_2", "eta_3", "eta_4"],
+            ["(0+;0+)", 0.25, 0.25, 0.25, 0.25],
+            ["(0+;1+)", 0.75, -0.25, 0.75, -0.25],
+            ["(0-;0+)", -0.25, -0.25, 0.75, 0.75],
+            ["(0-;1+)", 0.25, 0.25, 0.25, 0.25],
+        ]
 
 
 class TestPreparationMixtures:

@@ -9,7 +9,9 @@ from subens import (
     almost_equal,
     assignment_operator,
     basis_from_kets,
+    contribution_table,
     decompose,
+    eta_basis,
     mh_joint,
     named_basis,
     negativity,
@@ -288,3 +290,24 @@ class TestNegativity:
         assert negativity([[0.25, -0.25], [-0.25, 0.75]]) == pytest.approx(
             0.5, abs=ATOL
         )
+
+
+class TestArrayHoldingValues:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            z_basis,
+            lambda: decompose(PROJ_0, x_basis())[0],
+            lambda: mh_joint(PROJ_0, z_basis(), x_basis()),
+            eta_basis,
+            lambda: contribution_table("0", "0"),
+        ],
+        ids=["MeasurementBasis", "SubensembleOperator", "JointQuasiDistribution", "EtaBasis", "ContributionTable"],
+    )
+    def test_equality_and_hash_do_not_raise(self, make):
+        # the generated __eq__ of a dataclass compares ndarray fields and raises
+        a, b = make(), make()
+        assert a == a
+        assert (a == b) in (True, False)
+        assert hash(a) == hash(a)
+        assert len({a, b}) in (1, 2)
