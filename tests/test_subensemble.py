@@ -305,7 +305,7 @@ class TestArrayHoldingValues:
         ids=["MeasurementBasis", "SubensembleOperator", "JointQuasiDistribution", "EtaBasis", "ContributionTable"],
     )
     def test_equality_and_hash_do_not_raise(self, make):
-        # the generated __eq__ of a dataclass compares ndarray fields and raises
+        # a generated dataclass __eq__ would compare the ndarray fields and raise
         a, b = make(), make()
         assert a == a
         assert (a == b) in (True, False)
