@@ -140,44 +140,44 @@ def _cmd_eta(args) -> int:
             lines.append(f"  ket: {_ket_text(k)}")
         return "\n".join(lines)
 
-    _emit(
-        args.format,
-        lambda: {
+    def doc():
+        return {
             "projectors": [expansion_to_json(e) for e in basis.expansions],
             "kets": [ket_to_json(k) for k in basis.kets],
             "excluded_input": excluded,
-        },
-        lambda: [["outcome"] + strings]
-        + [
-            [i] + [e.coeffs.get(s, 0.0) for s in strings]
-            for i, e in zip(OUTCOMES, basis.expansions)
-        ],
-        text,
-    )
+        }
+
+    def rows():
+        out = [["outcome"] + strings]
+        for i, e in zip(OUTCOMES, basis.expansions):
+            out.append([i] + [e.coeffs.get(s, 0.0) for s in strings])
+        return out
+
+    _emit(args.format, doc, rows, text)
     return 0
 
 
 def _cmd_prob(args) -> int:
     first, second = parse_input_label(args.input)
     probs = [outcome_probability(i, first, second) for i in OUTCOMES]
-    _emit(
-        args.format,
-        lambda: {"input": args.input, "probabilities": probs},
-        lambda: [["outcome", "probability"]] + [list(r) for r in zip(OUTCOMES, probs)],
-        lambda: "\n".join(
-            [f"outcome probabilities for input {args.input}"]
-            + [
-                f"outcome {i}: {fmt.format_float(p, fmt.PRETTY_DIGITS)}"
-                for i, p in zip(OUTCOMES, probs)
-            ]
-        ),
-    )
+
+    def rows():
+        return [["outcome", "probability"]] + [[i, p] for i, p in zip(OUTCOMES, probs)]
+
+    def text():
+        lines = [f"outcome probabilities for input {args.input}"]
+        for i, p in zip(OUTCOMES, probs):
+            lines.append(f"outcome {i}: {fmt.format_float(p, fmt.PRETTY_DIGITS)}")
+        return "\n".join(lines)
+
+    _emit(args.format, lambda: {"input": args.input, "probabilities": probs}, rows, text)
     return 0
 
 
 def _cmd_table(args) -> int:
     table = contribution_table(*parse_input_label(args.input))
-    _emit(args.format, table.to_json_dict, table.labelled_rows, table.render)
+    # the csv is the bare grid of entries, with neither header nor row labels
+    _emit(args.format, table.to_json_dict, table.entries.tolist, table.render)
     return 0
 
 
@@ -185,12 +185,11 @@ def _cmd_verify(args) -> int:
     report = verify_paradox()
 
     def rows():
-        header = ["input", "excluded_outcome", "born_probability", "negative_rows"]
-        return [header] + [
-            [r.input_label, r.excluded_outcome, r.born_probability]
-            + ["|".join(r.negative_contributors())]
-            for r in report.inputs
-        ]
+        out = [["input", "excluded_outcome", "born_probability", "negative_rows"]]
+        for r in report.inputs:
+            negative_rows = "|".join(r.negative_contributors())
+            out.append([r.input_label, r.excluded_outcome, r.born_probability, negative_rows])
+        return out
 
     _emit(args.format, report.to_json_dict, rows, report.render)
     if not report.passed:
@@ -220,14 +219,13 @@ def _cmd_decompose(args) -> int:
         }
 
     def rows():
-        d = range(basis.dim)
-        header = ["outcome", "label", "weight"]
-        header += [f"r{i}c{j}_{part}" for i in d for j in d for part in ("re", "im")]
-        return [header] + [
-            [t.outcome_index, basis.labels[t.outcome_index], t.weight]
-            + [v for z in t.operator.ravel().tolist() for v in (z.real, z.imag)]
-            for t in terms
-        ]
+        cells = [f"r{i}c{j}" for i in range(basis.dim) for j in range(basis.dim)]
+        out = [["outcome", "label", "weight"] + [f"{c}_{p}" for c in cells for p in ("re", "im")]]
+        for t in terms:
+            # a complex array viewed as floats interleaves re and im
+            parts = t.operator.ravel().view(float).tolist()
+            out.append([t.outcome_index, basis.labels[t.outcome_index], t.weight] + parts)
+        return out
 
     def text():
         name = basis.name or "custom"
@@ -252,15 +250,14 @@ def _cmd_mh(args) -> int:
     labels_b = list(basis_b.labels)
 
     def rows():
+        # csv and pretty print the same labelled rows under different headers
         return fmt.labelled_rows(basis_a.labels, dist.q)
 
-    _emit(
-        args.format,
-        dist.to_json_dict,
-        lambda: [[""] + labels_b] + rows(),
-        lambda: f"joint quasi-probability: rows {basis_a.name or 'A'}, "
-        f"columns {basis_b.name or 'B'}\n" + fmt.render_table(["q(a,b)"] + labels_b, rows()),
-    )
+    def text():
+        title = f"joint quasi-probability: rows {basis_a.name or 'A'}, columns {basis_b.name or 'B'}"
+        return title + "\n" + fmt.render_table(["q(a,b)"] + labels_b, rows())
+
+    _emit(args.format, dist.to_json_dict, lambda: [[""] + labels_b] + rows(), text)
     return 0
 
 
@@ -286,11 +283,10 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     command("eta", _cmd_eta, "print the four-outcome entangled measurement")
-    for name, func, help in (
-        ("prob", _cmd_prob, "outcome probabilities for a product input"),
-        ("table", _cmd_table, "sub-ensemble contribution table for a product input"),
-    ):
-        command(name, func, help).add_argument("--input", required=True, choices=INPUT_CHOICES)
+    p = command("prob", _cmd_prob, "outcome probabilities for a product input")
+    p.add_argument("--input", required=True, choices=INPUT_CHOICES)
+    p = command("table", _cmd_table, "sub-ensemble contribution table for a product input")
+    p.add_argument("--input", required=True, choices=INPUT_CHOICES)
     command("verify", _cmd_verify, "verify every exclusion invariant of the scenario")
 
     basis_help = "Z, X, or a JSON ket-list file"

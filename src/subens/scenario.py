@@ -65,17 +65,6 @@ _ROW_LABELS = tuple(
     tuple(f"({_COMPONENTS[s]};{_COMPONENTS[t]})" for s, t in rows) for rows in _ROW_FACTORS
 )
 
-# What each check of verify_paradox asserts, in report order.
-_CHECK_DETAILS = {
-    "measurement-construction": "four rank-1 projectors, mutually orthogonal and complete",
-    "exclusion-bijection": "each outcome excludes exactly one input ({exclusions})",
-    "excluded-born-zero": "every excluded input has Born probability 0 at its outcome",
-    "row-normalization": "every sub-ensemble row sums to 1 across the four outcomes",
-    "common-subensemble-flat": "row {common} contributes 1/4 to every outcome for all inputs",
-    "born-consistency": "quarter column sums reproduce the Born probabilities for all inputs",
-    "negative-cancellation": "each excluded outcome receives negative sub-ensemble contributions",
-}
-
 
 class ScenarioConsistencyError(RuntimeError):
     """The built-in measurement failed its own verification."""
@@ -88,17 +77,22 @@ def eta_projector(i: int) -> np.ndarray:
     return pauli_synthesize(PauliExpansion(n=2, coeffs=ETA_EXPANSIONS[i]))
 
 
-def _build() -> tuple:
-    """The measurement as arrays, built from ETA_EXPANSIONS without checks.
+def _expansions() -> tuple:
+    """ETA_EXPANSIONS as Pauli expansions, in outcome order."""
+    return tuple(PauliExpansion(n=2, coeffs=ETA_EXPANSIONS[i]) for i in OUTCOMES)
 
-    Returns the Pauli expansions, the read-only (outcome, 4, 4) projector
-    stack and the (outcome, input) Born matrix over INPUT_PAIRS.
-    """
-    expansions = tuple(PauliExpansion(n=2, coeffs=ETA_EXPANSIONS[i]) for i in OUTCOMES)
+
+def _projectors(expansions: tuple) -> np.ndarray:
+    """Read-only (outcome, 4, 4) stack of the synthesized projectors, unchecked."""
     projectors = np.stack([pauli_synthesize(e) for e in expansions])
     projectors.setflags(write=False)
+    return projectors
+
+
+def _born(projectors: np.ndarray) -> np.ndarray:
+    """(outcome, input) Born matrix over INPUT_PAIRS, never clamped."""
     rho = np.stack([product_input(*pair).density for pair in INPUT_PAIRS])
-    return expansions, projectors, np.einsum("oij,nji->on", projectors, rho).real
+    return np.einsum("oij,nji->on", projectors, rho).real
 
 
 def _contributions(projectors: np.ndarray) -> np.ndarray:
@@ -117,12 +111,14 @@ def _contributions(projectors: np.ndarray) -> np.ndarray:
     return grid[_ROW_FACTORS[..., 0], _ROW_FACTORS[..., 1]]
 
 
-def _excluded_inputs(projectors: np.ndarray, born: np.ndarray) -> dict:
-    """Check the measurement and map each outcome to the input it excludes.
+def _excluded_inputs(projectors: np.ndarray, born: np.ndarray) -> np.ndarray:
+    """Check the measurement; give, per outcome, the INPUT_PAIRS index it excludes.
 
     Raises ScenarioConsistencyError unless the projectors are rank-1,
     orthogonal and complete, and each outcome has Born probability 0 for
-    exactly one input, bijectively, with outcome 1 excluding "00".
+    exactly one input, bijectively, with outcome 1 excluding "00". The
+    result is then a permutation, and ``np.argsort`` of it gives each
+    input's excluded outcome.
     """
     for i, p in zip(OUTCOMES, projectors):
         if not is_projector(p) or abs(np.trace(p).real - 1.0) > ATOL:
@@ -144,10 +140,10 @@ def _excluded_inputs(projectors: np.ndarray, born: np.ndarray) -> dict:
             )
     if not zeros.any(axis=0).all():
         raise ScenarioConsistencyError("exclusion map is not a bijection")
-    excluded = {i: INPUT_PAIRS[int(np.argmax(row))] for i, row in zip(OUTCOMES, zeros)}
-    if excluded[1] != ("0", "0"):
+    excluded = zeros.argmax(axis=1)
+    if INPUT_PAIRS[excluded[0]] != ("0", "0"):
         raise ScenarioConsistencyError(
-            f"outcome 1 must exclude input 00, found {''.join(excluded[1])}"
+            f"outcome 1 must exclude input 00, found {''.join(INPUT_PAIRS[excluded[0]])}"
         )
     return excluded
 
@@ -166,12 +162,6 @@ class EtaBasis:
     excluded_input: dict
     expansions: tuple
 
-    def outcome_excluding(self, first: str, second: str) -> int:
-        for i, pair in self.excluded_input.items():
-            if pair == (first, second):
-                return i
-        raise ValueError(f"no outcome excludes input {first}{second}")
-
 
 def eta_basis() -> EtaBasis:
     """Build the measurement from its coefficient tables and verify it.
@@ -180,22 +170,19 @@ def eta_basis() -> EtaBasis:
     rank-1 / orthogonality / completeness checks or do not produce the
     one-excluded-input-per-outcome pattern with outcome 1 excluding "00".
     """
-    expansions, projectors, born = _build()
-    excluded = _excluded_inputs(projectors, born)
+    expansions = _expansions()
+    projectors = _projectors(expansions)
+    excluded = _excluded_inputs(projectors, _born(projectors))
+    # each projector is rank-1, so its ket is the eigenvector of the top eigenvalue
     kets = []
-    for i, p in zip(OUTCOMES, projectors):
-        vals, vecs = np.linalg.eigh(p)
-        ket = fix_global_phase(vecs[:, int(np.argmax(vals))])
-        if not almost_equal(projector_from_ket(ket), p):
-            raise ScenarioConsistencyError(
-                f"outcome {i} projector is not the outer product of its leading eigenvector"
-            )
+    for v in np.linalg.eigh(projectors)[1][..., -1]:
+        ket = fix_global_phase(v)
         ket.setflags(write=False)
         kets.append(ket)
     return EtaBasis(
         projectors=tuple(projectors),
         kets=tuple(kets),
-        excluded_input=excluded,
+        excluded_input={i: INPUT_PAIRS[n] for i, n in zip(OUTCOMES, excluded)},
         expansions=expansions,
     )
 
@@ -244,14 +231,9 @@ class ContributionTable:
             "entries": self.entries.tolist(),
         }
 
-    def labelled_rows(self) -> list:
-        """Header row, then one row per sub-ensemble: its label and entries."""
-        header = [f"input {self.input_label}"] + [f"eta_{i}" for i in OUTCOMES]
-        return [header] + fmt.labelled_rows(self.row_labels, self.entries)
-
     def render(self) -> str:
-        rows = self.labelled_rows()
-        return fmt.render_table(rows[0], rows[1:])
+        header = [f"input {self.input_label}"] + [f"eta_{i}" for i in OUTCOMES]
+        return fmt.render_table(header, fmt.labelled_rows(self.row_labels, self.entries))
 
 
 def contribution_table(first: str, second: str) -> ContributionTable:
@@ -259,7 +241,7 @@ def contribution_table(first: str, second: str) -> ContributionTable:
     if (first, second) not in INPUT_PAIRS:
         raise ValueError(f"unknown preparation labels {first!r}, {second!r}; expected 0 or +")
     n = INPUT_PAIRS.index((first, second))
-    contributions = _contributions(_build()[1])
+    contributions = _contributions(_projectors(_expansions()))
     return ContributionTable(
         first=first, second=second, row_labels=_ROW_LABELS[n], entries=contributions[n]
     )
@@ -344,7 +326,8 @@ def verify_paradox() -> ParadoxReport:
     Never raises: a broken construction shows up as a failed check so that
     callers can render the report and map it to an exit status.
     """
-    _, projectors, born = _build()
+    projectors = _projectors(_expansions())
+    born = _born(projectors)
     try:
         excluded = _excluded_inputs(projectors, born)
     except ScenarioConsistencyError as exc:
@@ -354,36 +337,63 @@ def verify_paradox() -> ParadoxReport:
 
     contributions = _contributions(projectors)
     inputs = np.arange(len(INPUT_PAIRS))
-    outcomes = np.abs(born).argmin(axis=0)  # 0-based excluded outcome of each input
+    outcomes = np.argsort(excluded)  # 0-based excluded outcome of each input
     excluded_born = born[outcomes, inputs]
     at_excluded = contributions[inputs, :, outcomes]  # (input, row)
     common = "({0};{0})".format("".join(COMMON_COMPONENT))
-    passed = {
-        "measurement-construction": True,
-        "exclusion-bijection": True,
-        "excluded-born-zero": bool(np.all(excluded_born <= ATOL)),
-        "row-normalization": almost_equal(contributions.sum(axis=2), np.ones((4, 4))),
-        "common-subensemble-flat": almost_equal(
-            contributions[np.array(_ROW_LABELS) == common], np.full((4, 4), 0.25)
+    exclusions = ", ".join(
+        f"{i}->{''.join(INPUT_PAIRS[n])}" for i, n in zip(OUTCOMES, excluded)
+    )
+    checks = (
+        CheckResult(
+            "measurement-construction",
+            True,
+            "four rank-1 projectors, mutually orthogonal and complete",
         ),
-        "born-consistency": almost_equal(contributions.sum(axis=1) / 4.0, born.T),
-        "negative-cancellation": bool(np.all((at_excluded < -ATOL).any(axis=1))),
-    }
-    exclusions = ", ".join(f"{i}->{''.join(excluded[i])}" for i in OUTCOMES)
-    checks = tuple(
-        CheckResult(name, ok, _CHECK_DETAILS[name].format(exclusions=exclusions, common=common))
-        for name, ok in passed.items()
+        CheckResult(
+            "exclusion-bijection",
+            True,
+            f"each outcome excludes exactly one input ({exclusions})",
+        ),
+        CheckResult(
+            "excluded-born-zero",
+            bool(np.all(excluded_born <= ATOL)),
+            "every excluded input has Born probability 0 at its outcome",
+        ),
+        CheckResult(
+            "row-normalization",
+            almost_equal(contributions.sum(axis=2), np.ones((4, 4))),
+            "every sub-ensemble row sums to 1 across the four outcomes",
+        ),
+        CheckResult(
+            "common-subensemble-flat",
+            almost_equal(contributions[np.array(_ROW_LABELS) == common], np.full((4, 4), 0.25)),
+            f"row {common} contributes 1/4 to every outcome for all inputs",
+        ),
+        CheckResult(
+            "born-consistency",
+            almost_equal(contributions.sum(axis=1) / 4.0, born.T),
+            "quarter column sums reproduce the Born probabilities for all inputs",
+        ),
+        CheckResult(
+            "negative-cancellation",
+            bool(np.all((at_excluded < -ATOL).any(axis=1))),
+            "each excluded outcome receives negative sub-ensemble contributions",
+        ),
     )
-    reports = tuple(
-        InputReport(
-            input_label=first + second,
-            excluded_outcome=OUTCOMES[outcomes[n]],
-            born_probability=float(excluded_born[n]),
-            rows=tuple(
-                RowReport(label, tuple(row), tuple(i for i, v in zip(OUTCOMES, row) if v < -ATOL))
-                for label, row in zip(_ROW_LABELS[n], contributions[n].tolist())
-            ),
+
+    reports = []
+    for n, (first, second) in enumerate(INPUT_PAIRS):
+        rows = []
+        for label, row in zip(_ROW_LABELS[n], contributions[n].tolist()):
+            negatives = tuple(i for i, v in zip(OUTCOMES, row) if v < -ATOL)
+            rows.append(RowReport(label, tuple(row), negatives))
+        reports.append(
+            InputReport(
+                input_label=first + second,
+                excluded_outcome=OUTCOMES[outcomes[n]],
+                born_probability=float(excluded_born[n]),
+                rows=tuple(rows),
+            )
         )
-        for n, (first, second) in enumerate(INPUT_PAIRS)
-    )
-    return ParadoxReport(inputs=reports, checks=checks)
+    return ParadoxReport(inputs=tuple(reports), checks=checks)

@@ -20,7 +20,6 @@ _X = pauli_matrix("X")
 _Y = pauli_matrix("Y")
 _Z = pauli_matrix("Z")
 
-KET_LABELS = ("0", "1", "+", "-")
 PREPARATION_LABELS = ("0", "+")
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)

@@ -25,7 +25,6 @@ from .operators import (
     is_hermitian,
     is_projector,
     ket_to_json,
-    projector_from_ket,
     symmetric_product,
 )
 from .states import standard_ket
@@ -93,9 +92,6 @@ class MeasurementBasis:
     def vectors(self) -> tuple:
         """The outcome kets, as read-only views of the columns of ``matrix``."""
         return tuple(self.matrix.T)
-
-    def projector(self, index: int) -> np.ndarray:
-        return projector_from_ket(self.matrix[:, index])
 
     def to_json(self):
         """Name for the built-in bases, otherwise the list of kets."""

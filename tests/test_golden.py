@@ -54,16 +54,16 @@ GOLDEN = {
     "prob.00.csv": "b1d45d82e2dc2814685b83f55b3a87ce2b3b4597a6a10e511bc4578f0993e353",
     "prob.00.json": "9c3117f73f6d3c155013a9768fe9b120e301bf02810bcd6e7df16cd0f4784ee7",
     "prob.00.pretty": "67f8e6f8ca54f76aa1ac89d5f8640a5bf41f13a55fa6633b916c8b4bf095311b",
-    "table.++.csv": "02e54271227c388559187297f265b6729d08a802d26ab2d64b84f0b8d812e1fd",
+    "table.++.csv": "68ef4376c7db2e3c4cf96d567f53d46f8d853d6b3d06469314db30c588130018",
     "table.++.json": "a7aa632d3b51ac7ec7191433312715b80eaa74f19dbb87d8c4ba4220d76bed0d",
     "table.++.pretty": "7f963261406d0ccb986889c831930e8b0eb5fa66a4a232d52812f02ee548538f",
-    "table.+0.csv": "55a722b176d019e983594efee484a8560f7a2d7769b96b1257b16d5c854dbd42",
+    "table.+0.csv": "2a91dbfdd50c87891c08fb3a74e5d1399101226434299be9945f508b0efa6148",
     "table.+0.json": "6325727b03758a8a1d5d6ea6cbb16549fde335b4f48108761a8187db3edde7b8",
     "table.+0.pretty": "c37b1750c643c219eff9504f170a00575e8aacd68c8ef776cf1579dbaa392108",
-    "table.0+.csv": "dc1ed8e988f4f32a498e282c57830f40fd3b52006a2a99d4105f8b84f07ff7bc",
+    "table.0+.csv": "0f17aafebe91ae5da35b71b9efa9a3485f138db0f2438f221fac77f1abc62632",
     "table.0+.json": "f9e73835b73da1fb2b69040a265e8560e8347dd47f228669681a31c10529a6be",
     "table.0+.pretty": "50168199cc3bc0c056c4eed5a4f05fed3e855d0f6f7af3ca33aee5f0a534aa93",
-    "table.00.csv": "1ed8d30e9234da3a4cd35d03358d9b1938ebbce47327ce64c3613b56632c2b51",
+    "table.00.csv": "b0ba6f5f65b4131622cf4409f628c4d3f4174334b0f4bf1c0d9fbfc0be58c870",
     "table.00.json": "fc353a979d59050c964d936e21eac7ce2f4db66d016943c4adc4a0decf5303b0",
     "table.00.pretty": "fe3a560353c15e186674b0b9465b325650ce5c87d9e090d32255d480cfec6d8b",
     "verify.csv": "8de816659b4603895a22a3520fc39c81e71d7cc05734f866b61935be4cdfc529",
