@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from dataclasses import asdict
 
 from . import fmt
 from .operators import (
@@ -31,13 +33,7 @@ from .scenario import (
     verify_paradox,
 )
 from .states import parse_input_label
-from .subensemble import (
-    basis_from_kets,
-    decompose,
-    mh_joint,
-    named_basis,
-    validate_density,
-)
+from .subensemble import basis_from_kets, decompose, mh_joint, named_basis
 
 INPUT_CHOICES = tuple(a + b for a, b in INPUT_PAIRS)
 
@@ -46,14 +42,27 @@ class InputFileError(Exception):
     """A state or basis file could not be read or fails validation."""
 
 
+@contextmanager
+def _blame(path: str):
+    """Report a ValueError raised in the block as a fault of the file at path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputFileError(f"{path}: {exc}") from exc
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputFileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFileError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFileError(f"{path} nests arrays too deeply to read") from exc
 
 
 def _nesting(data) -> int:
@@ -65,15 +74,12 @@ def _nesting(data) -> int:
 
 
 def _load_density(path: str):
+    """Parse a state file into a square matrix; the kernel that reads it validates it."""
     data = _load_json(path)
-    try:
+    with _blame(path):
         if _nesting(data) == 2:
-            rho = projector_from_ket(ket_from_json(data))
-        else:
-            rho = matrix_from_json(data)
-        return validate_density(rho)
-    except ValueError as exc:
-        raise InputFileError(f"{path}: {exc}") from exc
+            return projector_from_ket(ket_from_json(data))
+        return matrix_from_json(data)
 
 
 def _load_basis(source: str, dim: int):
@@ -83,10 +89,8 @@ def _load_basis(source: str, dim: int):
         data = _load_json(source)
         if not isinstance(data, list):
             raise InputFileError(f"{source}: basis file must be an array of kets")
-        try:
+        with _blame(source):
             basis = basis_from_kets([ket_from_json(k) for k in data])
-        except ValueError as exc:
-            raise InputFileError(f"{source}: {exc}") from exc
     if basis.dim != dim:
         raise InputFileError(
             f"basis dimension {basis.dim} does not match state dimension {dim}"
@@ -107,6 +111,22 @@ def _emit(fmt_name: str, doc, rows, text) -> None:
     else:
         out = text()
     print(out)
+
+
+def _basis_doc(basis):
+    """Name for the built-in bases, otherwise the list of kets."""
+    return basis.name if basis.name is not None else [ket_to_json(v) for v in basis.vectors]
+
+
+def _table_text(table) -> str:
+    header = [f"input {table.first}{table.second}"] + [f"eta_{i}" for i in OUTCOMES]
+    return fmt.render_table(header, fmt.labelled_rows(table.row_labels, table.entries))
+
+
+def _negative_rows(table, outcome: int) -> list:
+    """Labels of the rows whose entry at the outcome is negative."""
+    negatives = table.negative_outcomes()
+    return [label for label, neg in zip(table.row_labels, negatives) if outcome in neg]
 
 
 def _expansion_text(expansion) -> str:
@@ -176,22 +196,70 @@ def _cmd_prob(args) -> int:
 
 def _cmd_table(args) -> int:
     table = contribution_table(*parse_input_label(args.input))
+
+    def doc():
+        return {
+            "input": args.input,
+            "outcomes": list(OUTCOMES),
+            "rows": list(table.row_labels),
+            "entries": table.entries.tolist(),
+        }
+
     # the csv is the bare grid of entries, with neither header nor row labels
-    _emit(args.format, table.to_json_dict, table.entries.tolist, table.render)
+    _emit(args.format, doc, table.entries.tolist, lambda: _table_text(table))
     return 0
 
 
 def _cmd_verify(args) -> int:
     report = verify_paradox()
+    # empty when the measurement failed construction
+    inputs = list(
+        zip(INPUT_CHOICES, report.tables, report.excluded_outcomes, report.born_probabilities)
+    )
+
+    def doc():
+        return {
+            "passed": report.passed,
+            "checks": [asdict(c) for c in report.checks],
+            "inputs": [
+                {
+                    "input": label,
+                    "excluded_outcome": outcome,
+                    "born_probability": born,
+                    "rows": [
+                        {"label": row, "entries": entries, "negatives": negatives}
+                        for row, entries, negatives in zip(
+                            table.row_labels, table.entries.tolist(), table.negative_outcomes()
+                        )
+                    ],
+                }
+                for label, table, outcome, born in inputs
+            ],
+        }
 
     def rows():
         out = [["input", "excluded_outcome", "born_probability", "negative_rows"]]
-        for r in report.inputs:
-            negative_rows = "|".join(r.negative_contributors())
-            out.append([r.input_label, r.excluded_outcome, r.born_probability, negative_rows])
+        for label, table, outcome, born in inputs:
+            out.append([label, outcome, born, "|".join(_negative_rows(table, outcome))])
         return out
 
-    _emit(args.format, report.to_json_dict, rows, report.render)
+    def text():
+        lines = [f"scenario verification: {'PASS' if report.passed else 'FAIL'}"]
+        for c in report.checks:
+            mark = "ok" if c.passed else "FAIL"
+            lines.append(f"  [{mark:>4}] {c.name}: {c.detail}")
+        for label, table, outcome, born in inputs:
+            lines.append("")
+            lines.append(
+                f"input {label}: excluded outcome {outcome}, "
+                f"Born probability {fmt.format_float(born, fmt.PRETTY_DIGITS)}"
+            )
+            contributors = ", ".join(_negative_rows(table, outcome)) or "none"
+            lines.append(f"  negative contributors to outcome {outcome}: {contributors}")
+            lines += ["  " + line for line in _table_text(table).splitlines()]
+        return "\n".join(lines)
+
+    _emit(args.format, doc, rows, text)
     if not report.passed:
         failed = [c.name for c in report.checks if not c.passed]
         print(f"error: verification failed: {', '.join(failed)}", file=sys.stderr)
@@ -202,11 +270,12 @@ def _cmd_verify(args) -> int:
 def _cmd_decompose(args) -> int:
     rho = _load_density(args.state)
     basis = _load_basis(args.basis, rho.shape[0])
-    terms = decompose(rho, basis)
+    with _blame(args.state):  # decompose is the one check of the state
+        terms = decompose(rho, basis)
 
     def doc():
         return {
-            "basis": basis.to_json(),
+            "basis": _basis_doc(basis),
             "terms": [
                 {
                     "outcome": t.outcome_index,
@@ -246,8 +315,16 @@ def _cmd_mh(args) -> int:
     rho = _load_density(args.state)
     basis_a = _load_basis(args.basis_a, rho.shape[0])
     basis_b = _load_basis(args.basis_b, rho.shape[0])
-    dist = mh_joint(rho, basis_a, basis_b)
+    with _blame(args.state):  # mh_joint is the one check of the state
+        dist = mh_joint(rho, basis_a, basis_b)
     labels_b = list(basis_b.labels)
+
+    def doc():
+        return {
+            "basisA": _basis_doc(basis_a),
+            "basisB": _basis_doc(basis_b),
+            "q": dist.q.tolist(),
+        }
 
     def rows():
         # csv and pretty print the same labelled rows under different headers
@@ -257,7 +334,7 @@ def _cmd_mh(args) -> int:
         title = f"joint quasi-probability: rows {basis_a.name or 'A'}, columns {basis_b.name or 'B'}"
         return title + "\n" + fmt.render_table(["q(a,b)"] + labels_b, rows())
 
-    _emit(args.format, dist.to_json_dict, lambda: [[""] + labels_b] + rows(), text)
+    _emit(args.format, doc, lambda: [[""] + labels_b] + rows(), text)
     return 0
 
 

@@ -23,12 +23,12 @@ def format_float(x, digits: int = JSON_DIGITS) -> str:
     return format(x, f".{digits}g")
 
 
-def format_complex(z, digits: int = PRETTY_DIGITS) -> str:
+def format_complex(z) -> str:
     z = complex(z)
     if z.imag == 0.0:
-        return format_float(z.real, digits)
-    re = format_float(z.real, digits)
-    im = format_float(z.imag, digits)
+        return format_float(z.real, PRETTY_DIGITS)
+    re = format_float(z.real, PRETTY_DIGITS)
+    im = format_float(z.imag, PRETTY_DIGITS)
     sign = "" if im.startswith("-") else "+"
     return f"{re}{sign}{im}i"
 
@@ -37,7 +37,7 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _emit(obj, out: list, digits: int, indent: int) -> None:
+def _emit(obj, out: list, indent: int) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -46,7 +46,7 @@ def _emit(obj, out: list, digits: int, indent: int) -> None:
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             out.append(f"{pad}  {json.dumps(str(key))}: ")
-            _emit(value, out, digits, indent + 1)
+            _emit(value, out, indent + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -56,14 +56,14 @@ def _emit(obj, out: list, digits: int, indent: int) -> None:
             return
         if all(_is_number(v) for v in items):
             cells = [
-                format_float(v, digits) if isinstance(v, float) else str(v) for v in items
+                format_float(v) if isinstance(v, float) else str(v) for v in items
             ]
             out.append("[" + ", ".join(cells) + "]")
             return
         out.append("[\n")
         for i, value in enumerate(items):
             out.append(pad + "  ")
-            _emit(value, out, digits, indent + 1)
+            _emit(value, out, indent + 1)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "]")
     elif isinstance(obj, bool) or obj is None:
@@ -71,21 +71,21 @@ def _emit(obj, out: list, digits: int, indent: int) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(format_float(obj, digits))
+        out.append(format_float(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj, digits: int = JSON_DIGITS) -> str:
+def dumps(obj) -> str:
     """Serialize to JSON with fixed float formatting and 2-space indentation."""
     out: list = []
-    _emit(obj, out, digits, 0)
+    _emit(obj, out, 0)
     return "".join(out)
 
 
-def csv_line(cells, digits: int = JSON_DIGITS) -> str:
+def csv_line(cells) -> str:
     parts = []
     for cell in cells:
         if isinstance(cell, str):
@@ -95,7 +95,7 @@ def csv_line(cells, digits: int = JSON_DIGITS) -> str:
         elif isinstance(cell, int):
             parts.append(str(cell))
         else:
-            parts.append(format_float(cell, digits))
+            parts.append(format_float(cell))
     return ",".join(parts)
 
 
@@ -105,13 +105,13 @@ def labelled_rows(labels, values) -> list:
     return [[label, *row] for label, row in zip(labels, values.tolist())]
 
 
-def render_table(header, rows, digits: int = PRETTY_DIGITS) -> str:
+def render_table(header, rows) -> str:
     """Fixed-width table: first column left-justified, the rest right-justified."""
     text_rows = [list(header)]
     for row in rows:
         text_rows.append(
             [
-                cell if isinstance(cell, str) else format_float(cell, digits)
+                cell if isinstance(cell, str) else format_float(cell, PRETTY_DIGITS)
                 for cell in row
             ]
         )

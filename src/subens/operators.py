@@ -55,13 +55,13 @@ def _ket(v, name: str = "ket") -> np.ndarray:
     return a
 
 
-def almost_equal(a, b, atol: float = ATOL) -> bool:
-    """Elementwise absolute comparison; the package-wide notion of equality."""
+def almost_equal(a, b) -> bool:
+    """Elementwise absolute comparison within ATOL; the package-wide notion of equality."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         return False
-    return bool(np.all(np.abs(a - b) <= atol))
+    return bool(np.all(np.abs(a - b) <= ATOL))
 
 
 def pauli_strings(n: int):
@@ -96,17 +96,17 @@ def symmetric_product(a, b) -> np.ndarray:
     return 0.5 * (a @ b + b @ a)
 
 
-def is_hermitian(m, atol: float = ATOL) -> bool:
+def is_hermitian(m) -> bool:
     m = _square(m)
-    return bool(np.all(np.abs(m - m.conj().T) <= atol))
+    return bool(np.all(np.abs(m - m.conj().T) <= ATOL))
 
 
-def is_projector(m, atol: float = ATOL) -> bool:
-    """True iff m is Hermitian and idempotent within atol."""
+def is_projector(m) -> bool:
+    """True iff m is Hermitian and idempotent within ATOL."""
     m = _square(m)
-    if not is_hermitian(m, atol):
+    if not is_hermitian(m):
         return False
-    return bool(np.all(np.abs(m @ m - m) <= atol))
+    return bool(np.all(np.abs(m @ m - m) <= ATOL))
 
 
 def _string_sort_key(s: str):
@@ -146,32 +146,28 @@ class PauliExpansion:
         return 2 ** self.n
 
 
-def pauli_expand(m, n: int | None = None, atol: float = ATOL) -> PauliExpansion:
+def pauli_expand(m) -> PauliExpansion:
     """Expand a Hermitian matrix over Pauli strings.
 
     The coefficient of string s is trace(pauli_matrix(s) @ m) / dim. For a
-    Hermitian matrix every coefficient is real; an imaginary part above atol
+    Hermitian matrix every coefficient is real; an imaginary part above ATOL
     means the input is not Hermitian and raises. Coefficients of magnitude
-    at most atol are dropped from the map.
+    at most ATOL are dropped from the map.
     """
     m = _square(m)
     dim = m.shape[0]
-    inferred = dim.bit_length() - 1
-    if 2 ** inferred != dim:
+    n = dim.bit_length() - 1
+    if 2 ** n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
-    if n is None:
-        n = inferred
-    elif n != inferred:
-        raise ValueError(f"qubit count {n} does not match dimension {dim}")
 
     coeffs = {}
     for s in pauli_strings(n):
         c = complex(np.trace(pauli_matrix(s) @ m)) / dim
-        if abs(c.imag) > atol:
+        if abs(c.imag) > ATOL:
             raise ValueError(
                 f"matrix is not Hermitian: coefficient of {s} has imaginary part {c.imag!r}"
             )
-        if abs(c.real) > atol:
+        if abs(c.real) > ATOL:
             coeffs[s] = c.real
     return PauliExpansion(n=n, coeffs=coeffs)
 
@@ -190,11 +186,11 @@ def projector_from_ket(ket) -> np.ndarray:
     return np.outer(k, k.conj())
 
 
-def fix_global_phase(ket, atol: float = ATOL) -> np.ndarray:
-    """Rotate a ket so its first amplitude of magnitude > atol is real positive."""
+def fix_global_phase(ket) -> np.ndarray:
+    """Rotate a ket so its first amplitude of magnitude > ATOL is real positive."""
     k = _ket(ket).copy()
     for amp in k:
-        if abs(amp) > atol:
+        if abs(amp) > ATOL:
             k *= abs(amp) / amp
             break
     return k
@@ -214,7 +210,11 @@ def _complex_from_json(item, where: str) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in item)
     ):
         raise ValueError(f"{where}: a complex number must be a [re, im] pair")
-    return complex(item[0], item[1])
+    try:
+        return complex(item[0], item[1])
+    except OverflowError:
+        # a JSON integer can be larger than any double
+        raise ValueError(f"{where}: number too large for a double") from None
 
 
 def matrix_to_json(m) -> list:
@@ -226,10 +226,12 @@ def matrix_from_json(data) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ValueError("matrix must be a non-empty array of rows")
     dim = len(data)
-    out = np.empty((dim, dim), dtype=complex)
+    # check the shape first: the allocation grows as the square of the row count
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"matrix row {i} must be an array of {dim} entries")
+    out = np.empty((dim, dim), dtype=complex)
+    for i, row in enumerate(data):
         for j, item in enumerate(row):
             out[i, j] = _complex_from_json(item, f"matrix entry ({i},{j})")
     return out
@@ -251,11 +253,3 @@ def ket_from_json(data) -> np.ndarray:
 
 def expansion_to_json(e: PauliExpansion) -> dict:
     return {"n": e.n, "coeffs": dict(e.coeffs)}
-
-
-def expansion_from_json(data) -> PauliExpansion:
-    if not isinstance(data, dict) or "n" not in data or "coeffs" not in data:
-        raise ValueError('expansion must be an object {"n": ..., "coeffs": {...}}')
-    if not isinstance(data["coeffs"], dict):
-        raise ValueError("expansion coeffs must be an object")
-    return PauliExpansion(n=data["n"], coeffs=data["coeffs"])

@@ -13,12 +13,11 @@ Each call builds the arrays it reads once, and nothing is cached between calls.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from . import fmt
 from .operators import (
     ATOL,
     PauliExpansion,
@@ -212,10 +211,6 @@ class ContributionTable:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def input_label(self) -> str:
-        return self.first + self.second
-
     def row_sums(self) -> np.ndarray:
         return self.entries.sum(axis=1)
 
@@ -223,57 +218,23 @@ class ContributionTable:
         """Born probabilities recovered as quarter column sums."""
         return self.entries.sum(axis=0) / 4.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "input": self.input_label,
-            "outcomes": list(OUTCOMES),
-            "rows": list(self.row_labels),
-            "entries": self.entries.tolist(),
-        }
-
-    def render(self) -> str:
-        header = [f"input {self.input_label}"] + [f"eta_{i}" for i in OUTCOMES]
-        return fmt.render_table(header, fmt.labelled_rows(self.row_labels, self.entries))
+    def negative_outcomes(self) -> tuple:
+        """Per row, the outcomes (1-based) whose entry is below -ATOL."""
+        rows = self.entries.tolist()
+        return tuple(tuple(i for i, v in zip(OUTCOMES, row) if v < -ATOL) for row in rows)
 
 
 def contribution_table(first: str, second: str) -> ContributionTable:
     """Contribution of each assignment-product sub-ensemble to each outcome."""
     if (first, second) not in INPUT_PAIRS:
         raise ValueError(f"unknown preparation labels {first!r}, {second!r}; expected 0 or +")
-    n = INPUT_PAIRS.index((first, second))
-    contributions = _contributions(_projectors(_expansions()))
-    return ContributionTable(
-        first=first, second=second, row_labels=_ROW_LABELS[n], entries=contributions[n]
-    )
+    return _table(_contributions(_projectors(_expansions())), INPUT_PAIRS.index((first, second)))
 
 
-@dataclass(frozen=True)
-class RowReport:
-    label: str
-    entries: tuple
-    negatives: tuple  # 1-based outcome indices with a negative entry
-
-
-@dataclass(frozen=True)
-class InputReport:
-    input_label: str
-    excluded_outcome: int
-    born_probability: float
-    rows: tuple
-
-    def negative_contributors(self) -> tuple:
-        """Rows whose entry at the excluded outcome is negative."""
-        return tuple(
-            r.label for r in self.rows if self.excluded_outcome in r.negatives
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "input": self.input_label,
-            "excluded_outcome": self.excluded_outcome,
-            "born_probability": self.born_probability,
-            "rows": [asdict(r) for r in self.rows],
-        }
+def _table(contributions: np.ndarray, n: int) -> ContributionTable:
+    """The table of input INPUT_PAIRS[n], read from the contribution tensor."""
+    first, second = INPUT_PAIRS[n]
+    return ContributionTable(first, second, _ROW_LABELS[n], contributions[n])
 
 
 @dataclass(frozen=True)
@@ -285,39 +246,21 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ParadoxReport:
-    inputs: tuple
+    """The verification checks and, per input in INPUT_PAIRS order, its table,
+    excluded outcome (1-based) and that outcome's Born probability.
+
+    When the measurement fails construction only that check is present and
+    the per-input tuples are empty.
+    """
+
     checks: tuple
+    tables: tuple = ()
+    excluded_outcomes: tuple = ()
+    born_probabilities: tuple = ()
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [asdict(c) for c in self.checks],
-            "inputs": [r.to_json_dict() for r in self.inputs],
-        }
-
-    def render(self) -> str:
-        lines = [f"scenario verification: {'PASS' if self.passed else 'FAIL'}"]
-        for c in self.checks:
-            mark = "ok" if c.passed else "FAIL"
-            lines.append(f"  [{mark:>4}] {c.name}: {c.detail}")
-        for r in self.inputs:
-            lines.append("")
-            lines.append(
-                f"input {r.input_label}: excluded outcome {r.excluded_outcome}, "
-                f"Born probability {fmt.format_float(r.born_probability, fmt.PRETTY_DIGITS)}"
-            )
-            contributors = ", ".join(r.negative_contributors()) or "none"
-            lines.append(
-                f"  negative contributors to outcome {r.excluded_outcome}: {contributors}"
-            )
-            header = [f"  input {r.input_label}"] + [f"eta_{i}" for i in OUTCOMES]
-            table_rows = [["  " + row.label, *row.entries] for row in r.rows]
-            lines.append(fmt.render_table(header, table_rows))
-        return "\n".join(lines)
 
 
 def verify_paradox() -> ParadoxReport:
@@ -331,9 +274,7 @@ def verify_paradox() -> ParadoxReport:
     try:
         excluded = _excluded_inputs(projectors, born)
     except ScenarioConsistencyError as exc:
-        return ParadoxReport(
-            inputs=(), checks=(CheckResult("measurement-construction", False, str(exc)),)
-        )
+        return ParadoxReport(checks=(CheckResult("measurement-construction", False, str(exc)),))
 
     contributions = _contributions(projectors)
     inputs = np.arange(len(INPUT_PAIRS))
@@ -382,18 +323,9 @@ def verify_paradox() -> ParadoxReport:
         ),
     )
 
-    reports = []
-    for n, (first, second) in enumerate(INPUT_PAIRS):
-        rows = []
-        for label, row in zip(_ROW_LABELS[n], contributions[n].tolist()):
-            negatives = tuple(i for i, v in zip(OUTCOMES, row) if v < -ATOL)
-            rows.append(RowReport(label, tuple(row), negatives))
-        reports.append(
-            InputReport(
-                input_label=first + second,
-                excluded_outcome=OUTCOMES[outcomes[n]],
-                born_probability=float(excluded_born[n]),
-                rows=tuple(rows),
-            )
-        )
-    return ParadoxReport(inputs=tuple(reports), checks=checks)
+    return ParadoxReport(
+        checks=checks,
+        tables=tuple(_table(contributions, n) for n in range(len(INPUT_PAIRS))),
+        excluded_outcomes=tuple(OUTCOMES[o] for o in outcomes),
+        born_probabilities=tuple(excluded_born.tolist()),
+    )

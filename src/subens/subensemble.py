@@ -24,7 +24,6 @@ from .operators import (
     _square,
     is_hermitian,
     is_projector,
-    ket_to_json,
     symmetric_product,
 )
 from .states import standard_ket
@@ -92,12 +91,6 @@ class MeasurementBasis:
     def vectors(self) -> tuple:
         """The outcome kets, as read-only views of the columns of ``matrix``."""
         return tuple(self.matrix.T)
-
-    def to_json(self):
-        """Name for the built-in bases, otherwise the list of kets."""
-        if self.name is not None:
-            return self.name
-        return [ket_to_json(v) for v in self.vectors]
 
 
 def _distance_from_identity(m: np.ndarray) -> float:
@@ -224,13 +217,6 @@ class JointQuasiDistribution:
 
     def total(self) -> float:
         return float(self.q.sum())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "basisA": self.basis_a.to_json(),
-            "basisB": self.basis_b.to_json(),
-            "q": self.q.tolist(),
-        }
 
 
 def mh_joint(rho, basis_a: MeasurementBasis, basis_b: MeasurementBasis) -> JointQuasiDistribution:

@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+import subens.cli as cli
 import subens.scenario as scenario
+import subens.subensemble as subensemble
 from subens.cli import main
 from subens.operators import matrix_to_json
 
@@ -246,7 +248,17 @@ class TestMalformedInputs:
         path.write_text(json.dumps(matrix_to_json(np.eye(2))))
         code, _, err = run(capsys, ["decompose", "--state", str(path), "--basis", "Z"])
         assert code == 3
-        assert "trace" in err
+        assert err == f"error: {path}: density matrix trace (2+0j) is not 1\n"
+
+    def test_bad_basis_is_reported_before_bad_state(self, capsys, tmp_path):
+        # the state is checked by the kernel, which runs once both files are loaded
+        state = tmp_path / "trace2.json"
+        state.write_text(json.dumps(matrix_to_json(np.eye(2))))
+        basis = tmp_path / "badbasis.json"
+        basis.write_text(json.dumps([[[1, 0], [0, 0]], [[1, 0], [0, 0]]]))
+        code, _, err = run(capsys, ["decompose", "--state", str(state), "--basis", str(basis)])
+        assert code == 3
+        assert err.startswith(f"error: {basis}: basis vectors are not orthonormal")
 
     def test_malformed_ket(self, capsys, tmp_path):
         path = tmp_path / "badket.json"
@@ -300,6 +312,48 @@ class TestMalformedInputs:
         )
         assert code == 3
         assert "not orthonormal: max|V^H V - I| = 6.19e-07 exceeds tolerance 1e-12" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]\xff",
+            b"[[[1" + b"0" * 400 + b", 0], [0, 0]], [[0, 0], [0, 0]]]",
+            b"[" * 100_000 + b"]" * 100_000,
+            # 200 000 empty rows: a 200 000^2 matrix would need 596 GiB
+            b"[" + b",".join([b"[]"] * 200_000) + b"]",
+        ],
+        ids=["not-utf8", "int-beyond-double", "nested-100000-deep", "200000-empty-rows"],
+    )
+    def test_unreadable_state_exits_3_without_traceback(self, capsys, tmp_path, content):
+        path = tmp_path / "state.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, ["decompose", "--state", str(path), "--basis", "Z"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [["decompose", "--basis", "X"], ["mh", "--basis-a", "Z", "--basis-b", "X"]],
+        ids=["decompose", "mh"],
+    )
+    def test_state_is_validated_once(self, capsys, monkeypatch, zero_state, argv):
+        calls = []
+        original = subensemble.validate_density
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (cli, subensemble):
+            if getattr(module, "validate_density", None) is original:
+                monkeypatch.setattr(module, "validate_density", counted)
+        code, _, _ = run(capsys, argv + ["--state", zero_state])
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestDeterminism:

@@ -128,7 +128,7 @@ def test_pauli_expand_qubit_projector():
 
 
 def test_pauli_expand_identity():
-    e = pauli_expand(np.eye(4), n=2)
+    e = pauli_expand(np.eye(4))
     assert e.coeffs == {"II": 1.0}
 
 
@@ -146,8 +146,6 @@ def test_pauli_expand_entangled_projector():
 def test_pauli_expand_rejects_bad_dimension():
     with pytest.raises(ValueError, match="power of two"):
         pauli_expand(np.eye(3))
-    with pytest.raises(ValueError, match="does not match"):
-        pauli_expand(np.eye(4), n=3)
 
 
 def test_pauli_expand_rejects_non_hermitian():
@@ -174,11 +172,9 @@ def test_pauli_synthesize_matches_measurement_projector():
 @pytest.mark.parametrize("dim", [2, 4, 8])
 def test_expand_synthesize_round_trip(dim):
     rng = np.random.default_rng(100 + dim)
-    n = dim.bit_length() - 1
     for _ in range(200):
         m = random_hermitian(rng, dim)
-        e = pauli_expand(m, n=n)
-        assert almost_equal(pauli_synthesize(e), m, atol=1e-12)
+        assert almost_equal(pauli_synthesize(pauli_expand(m)), m)
 
 
 def test_expansion_keys_are_sorted():
@@ -219,17 +215,6 @@ def test_ket_json_round_trip():
     assert np.array_equal(ket_from_json(ket_to_json(k)), k)
 
 
-def test_expansion_json_round_trip():
-    from subens.operators import expansion_from_json, expansion_to_json
-
-    e = PauliExpansion(n=2, coeffs={"XZ": 0.25, "II": -1.5})
-    assert expansion_from_json(expansion_to_json(e)) == e
-    with pytest.raises(ValueError):
-        expansion_from_json({"coeffs": {}})
-    with pytest.raises(ValueError):
-        expansion_from_json({"n": 2, "coeffs": []})
-
-
 @pytest.mark.parametrize(
     "data",
     [
@@ -238,6 +223,7 @@ def test_expansion_json_round_trip():
         [[[1, 0]], [[0, 0]]],
         [[[1, 0], [0]], [[0, 0], [0, 0]]],
         [[[1, 0], ["a", 0]], [[0, 0], [0, 0]]],
+        [[[10**400, 0]]],
     ],
 )
 def test_matrix_from_json_rejects_malformed(data):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -98,11 +100,10 @@ class TestEtaBasis:
             born = np.trace(basis.projectors[i - 1] @ product_input(*pair).density).real
             assert abs(born) <= ATOL
 
-    @pytest.mark.parametrize("i", [1, 2, 3, 4])
-    @pytest.mark.parametrize("string", ["II", "XX", "YY", "ZZ", "XZ", "ZX"])
-    def test_corrupted_coefficient_fails_construction(self, monkeypatch, i, string):
-        if string not in scenario.ETA_EXPANSIONS[i]:
-            pytest.skip("coefficient not present in this outcome")
+    @pytest.mark.parametrize(
+        ("string", "i"), [(s, i) for i, coeffs in scenario.ETA_EXPANSIONS.items() for s in coeffs]
+    )
+    def test_corrupted_coefficient_fails_construction(self, monkeypatch, string, i):
         corrupted = scenario.ETA_EXPANSIONS[i][string] + 0.01
         monkeypatch.setitem(scenario.ETA_EXPANSIONS[i], string, corrupted)
         with pytest.raises(ScenarioConsistencyError):
@@ -196,7 +197,7 @@ class TestPreparationMixtures:
             projector_from_ket(standard_ket("0")), projector_from_ket(standard_ket("-"))
         )
         mixture = 0.5 * r_plus + 0.5 * r_minus
-        assert almost_equal(mixture, preparation_density("0"), atol=1e-12)
+        assert almost_equal(mixture, preparation_density("0"))
 
     def test_plus_preparation(self):
         r_zero = assignment_operator(
@@ -206,7 +207,7 @@ class TestPreparationMixtures:
             projector_from_ket(standard_ket("1")), projector_from_ket(standard_ket("+"))
         )
         mixture = 0.5 * r_zero + 0.5 * r_one
-        assert almost_equal(mixture, preparation_density("+"), atol=1e-12)
+        assert almost_equal(mixture, preparation_density("+"))
 
 
 class TestVerifyParadox:
@@ -226,29 +227,50 @@ class TestVerifyParadox:
 
     def test_input_00_details(self):
         report = verify_paradox()
-        entry = next(r for r in report.inputs if r.input_label == "00")
-        assert entry.excluded_outcome == 1
-        assert entry.born_probability == pytest.approx(0.0, abs=ATOL)
-        assert entry.negative_contributors() == ("(0+;0-)", "(0-;0+)")
-        common = next(r for r in entry.rows if r.label == "(0+;0+)")
-        assert common.entries == pytest.approx((0.25, 0.25, 0.25, 0.25), abs=ATOL)
-        assert common.negatives == ()
+        table = report.tables[0]
+        assert (table.first, table.second) == ("0", "0")
+        assert report.excluded_outcomes[0] == 1
+        assert report.born_probabilities[0] == pytest.approx(0.0, abs=ATOL)
+        assert np.allclose(table.entries, EXPECTED_TABLE_00, atol=ATOL, rtol=0)
+        # rows (0+;0-) and (0-;0+) are negative at outcome 1, and also at 3 and 2
+        assert table.negative_outcomes() == ((), (1, 3), (1, 2), ())
 
     def test_every_input_covered(self):
         report = verify_paradox()
-        assert [r.input_label for r in report.inputs] == ["00", "0+", "+0", "++"]
-        for r in report.inputs:
-            assert r.born_probability <= ATOL
-            assert len(r.negative_contributors()) == 2
+        assert [(t.first, t.second) for t in report.tables] == list(INPUTS)
+        assert report.excluded_outcomes == (1, 2, 3, 4)
+        for table, outcome, born in zip(
+            report.tables, report.excluded_outcomes, report.born_probabilities
+        ):
+            assert born <= ATOL
+            assert sum(outcome in neg for neg in table.negative_outcomes()) == 2
+            assert table.negative_outcomes()[0] == ()  # the shared (0+;0+) row
 
-    def test_json_shape(self):
-        doc = verify_paradox().to_json_dict()
+    def test_failed_construction_has_no_inputs(self, monkeypatch):
+        monkeypatch.setitem(scenario.ETA_EXPANSIONS[1], "XX", 0.26)
+        report = verify_paradox()
+        assert [c.name for c in report.checks] == ["measurement-construction"]
+        assert report.tables == report.excluded_outcomes == report.born_probabilities == ()
+
+    def test_json_shape(self, capsys):
+        assert main(["verify", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True
         first = doc["inputs"][0]
         assert set(first) == {"input", "excluded_outcome", "born_probability", "rows"}
         assert set(first["rows"][0]) == {"label", "entries", "negatives"}
+        assert first["rows"][1] == {
+            "label": "(0+;0-)",
+            "entries": [-0.25, 0.75, -0.25, 0.75],
+            "negatives": [1, 3],
+        }
 
-    def test_render_mentions_negative_contributors(self):
-        text = verify_paradox().render()
+    def test_render_mentions_negative_contributors(self, capsys):
+        assert main(["verify"]) == 0
+        text = capsys.readouterr().out
         assert "scenario verification: PASS" in text
         assert "negative contributors to outcome 1: (0+;0-), (0-;0+)" in text
+        # the tables are table's own pretty text, indented two spaces
+        assert main(["table", "--input", "00"]) == 0
+        table = capsys.readouterr().out
+        assert "".join("  " + line + "\n" for line in table.splitlines()) in text + "\n"

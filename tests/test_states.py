@@ -65,7 +65,7 @@ def test_bloch_round_trip():
         assert np.allclose(back, b, atol=1e-12, rtol=0)
     for _ in range(200):
         rho = random_density(rng, 2)
-        assert almost_equal(bloch_to_density(density_to_bloch(rho)), rho, atol=1e-10)
+        assert np.allclose(bloch_to_density(density_to_bloch(rho)), rho, atol=1e-10, rtol=0)
 
 
 def test_preparations_are_rank_one_with_half_overlap():
