@@ -19,7 +19,6 @@ from .operators import (
     pauli_synthesize,
     projector_from_ket,
     symmetric_product,
-    tensor,
 )
 from .scenario import (
     ContributionTable,
@@ -33,11 +32,7 @@ from .scenario import (
     verify_paradox,
 )
 from .states import (
-    BlochVector,
     ProductPreparation,
-    bloch_to_density,
-    density_to_bloch,
-    parse_input_label,
     preparation_density,
     product_input,
     standard_ket,
@@ -61,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ATOL",
-    "BlochVector",
     "ContributionTable",
     "EtaBasis",
     "JointQuasiDistribution",
@@ -74,10 +68,8 @@ __all__ = [
     "almost_equal",
     "assignment_operator",
     "basis_from_kets",
-    "bloch_to_density",
     "contribution_table",
     "decompose",
-    "density_to_bloch",
     "eta_basis",
     "eta_projector",
     "fix_global_phase",
@@ -87,7 +79,6 @@ __all__ = [
     "named_basis",
     "negativity",
     "outcome_probability",
-    "parse_input_label",
     "pauli_expand",
     "pauli_matrix",
     "pauli_strings",
@@ -97,7 +88,6 @@ __all__ = [
     "projector_from_ket",
     "standard_ket",
     "symmetric_product",
-    "tensor",
     "validate_density",
     "verify_paradox",
     "x_basis",

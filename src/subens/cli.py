@@ -32,7 +32,6 @@ from .scenario import (
     outcome_probability,
     verify_paradox,
 )
-from .states import parse_input_label
 from .subensemble import basis_from_kets, decompose, mh_joint, named_basis
 
 INPUT_CHOICES = tuple(a + b for a, b in INPUT_PAIRS)
@@ -73,13 +72,19 @@ def _nesting(data) -> int:
     return depth
 
 
-def _load_density(path: str):
-    """Parse a state file into a square matrix; the kernel that reads it validates it."""
+def _load_state(path: str):
+    """Parse a state file into a ket or a square matrix; the kernel that reads it validates it."""
     data = _load_json(path)
     with _blame(path):
         if _nesting(data) == 2:
-            return projector_from_ket(ket_from_json(data))
+            return ket_from_json(data)
         return matrix_from_json(data)
+
+
+def _density(state):
+    """The state as a matrix; a ket becomes its d×d projector, so check the
+    bases against the ket's length first."""
+    return projector_from_ket(state) if state.ndim == 1 else state
 
 
 def _load_basis(source: str, dim: int):
@@ -93,7 +98,7 @@ def _load_basis(source: str, dim: int):
             basis = basis_from_kets([ket_from_json(k) for k in data])
     if basis.dim != dim:
         raise InputFileError(
-            f"basis dimension {basis.dim} does not match state dimension {dim}"
+            f"{source}: basis dimension {basis.dim} does not match state dimension {dim}"
         )
     return basis
 
@@ -141,10 +146,10 @@ def _ket_text(ket) -> str:
     return "(" + ", ".join(fmt.format_complex(z) for z in ket) + ")"
 
 
-def _matrix_lines(m, pad: str = "  ") -> list:
+def _matrix_lines(m) -> list:
     cells = [[fmt.format_complex(z) for z in row] for row in m]
     width = max(len(c) for row in cells for c in row)
-    return [pad + "  ".join(c.rjust(width) for c in row) for row in cells]
+    return ["  " + "  ".join(c.rjust(width) for c in row) for row in cells]
 
 
 def _cmd_eta(args) -> int:
@@ -178,7 +183,7 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_prob(args) -> int:
-    first, second = parse_input_label(args.input)
+    first, second = args.input  # argparse has checked it against INPUT_CHOICES
     probs = [outcome_probability(i, first, second) for i in OUTCOMES]
 
     def rows():
@@ -195,7 +200,7 @@ def _cmd_prob(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    table = contribution_table(*parse_input_label(args.input))
+    table = contribution_table(*args.input)
 
     def doc():
         return {
@@ -268,10 +273,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    rho = _load_density(args.state)
-    basis = _load_basis(args.basis, rho.shape[0])
+    state = _load_state(args.state)
+    basis = _load_basis(args.basis, len(state))
     with _blame(args.state):  # decompose is the one check of the state
-        terms = decompose(rho, basis)
+        terms = decompose(_density(state), basis)
 
     def doc():
         return {
@@ -312,11 +317,11 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_mh(args) -> int:
-    rho = _load_density(args.state)
-    basis_a = _load_basis(args.basis_a, rho.shape[0])
-    basis_b = _load_basis(args.basis_b, rho.shape[0])
+    state = _load_state(args.state)
+    basis_a = _load_basis(args.basis_a, len(state))
+    basis_b = _load_basis(args.basis_b, len(state))
     with _blame(args.state):  # mh_joint is the one check of the state
-        dist = mh_joint(rho, basis_a, basis_b)
+        dist = mh_joint(_density(state), basis_a, basis_b)
     labels_b = list(basis_b.labels)
 
     def doc():

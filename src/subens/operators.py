@@ -1,7 +1,7 @@
 """Dense complex operator algebra and Pauli-string expansions.
 
 All operators in this package are plain numpy arrays with ``dtype=complex``.
-This module provides the Kronecker and symmetric products, the conversion
+This module provides the symmetric product, the conversion
 between Hermitian matrices and real Pauli-string coefficient maps, and the
 JSON encoding shared by the command-line tools.
 
@@ -37,8 +37,6 @@ _PAULI_1Q = {
 }
 for _m in _PAULI_1Q.values():
     _m.setflags(write=False)
-
-_LETTER_RANK = {c: k for k, c in enumerate(PAULI_LETTERS)}
 
 
 def _square(m, name: str = "matrix") -> np.ndarray:
@@ -82,11 +80,6 @@ def pauli_matrix(letters: str) -> np.ndarray:
     return m
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; the left factor becomes the first subsystem."""
-    return np.kron(_square(a, "a"), _square(b, "b"))
-
-
 def symmetric_product(a, b) -> np.ndarray:
     """Symmetrized product (ab + ba)/2; Hermitian whenever a and b are."""
     a = _square(a, "a")
@@ -109,10 +102,6 @@ def is_projector(m) -> bool:
     return bool(np.all(np.abs(m @ m - m) <= ATOL))
 
 
-def _string_sort_key(s: str):
-    return tuple(_LETTER_RANK[c] for c in s)
-
-
 @dataclass(frozen=True)
 class PauliExpansion:
     """Real coefficient map over the length-n Pauli strings.
@@ -131,14 +120,15 @@ class PauliExpansion:
         checked = {}
         for s, c in self.coeffs.items():
             if not isinstance(s, str) or len(s) != self.n or any(
-                ch not in _LETTER_RANK for ch in s
+                ch not in PAULI_LETTERS for ch in s
             ):
                 raise ValueError(f"invalid Pauli string {s!r} for n={self.n}")
             c = float(c)
             if not math.isfinite(c):
                 raise ValueError(f"coefficient of {s} is not finite")
             checked[s] = c
-        normalized = {s: checked[s] for s in sorted(checked, key=_string_sort_key)}
+        # I < X < Y < Z is also plain string order
+        normalized = {s: checked[s] for s in sorted(checked)}
         object.__setattr__(self, "coeffs", normalized)
 
     @property

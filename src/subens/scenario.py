@@ -211,13 +211,6 @@ class ContributionTable:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
-    def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
-
-    def column_probabilities(self) -> np.ndarray:
-        """Born probabilities recovered as quarter column sums."""
-        return self.entries.sum(axis=0) / 4.0
-
     def negative_outcomes(self) -> tuple:
         """Per row, the outcomes (1-based) whose entry is below -ATOL."""
         rows = self.entries.tolist()

@@ -196,13 +196,12 @@ def assignment_operator(pa, pb) -> np.ndarray:
 class JointQuasiDistribution:
     """Real joint quasi-probability table over two measurement bases.
 
-    Rows follow basis_a outcomes, columns basis_b outcomes. Both marginals
-    reproduce the single-basis Born distributions; entries may be negative.
+    Rows follow the outcomes of the first basis, columns those of the second.
+    Both marginals reproduce the single-basis Born distributions; entries may
+    be negative.
     """
 
     q: np.ndarray
-    basis_a: MeasurementBasis
-    basis_b: MeasurementBasis
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -233,7 +232,7 @@ def mh_joint(rho, basis_a: MeasurementBasis, basis_b: MeasurementBasis) -> Joint
     vah = basis_a.matrix.conj().T
     overlap = vah @ basis_b.matrix
     q = (overlap.conj() * (vah @ rho @ basis_b.matrix)).real
-    return JointQuasiDistribution(q=q, basis_a=basis_a, basis_b=basis_b)
+    return JointQuasiDistribution(q=q)
 
 
 def negativity(dist) -> float:

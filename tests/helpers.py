@@ -25,9 +25,3 @@ def random_unitary(rng, dim):
 def random_basis(rng, dim):
     q = random_unitary(rng, dim)
     return basis_from_kets([q[:, k] for k in range(dim)])
-
-
-def random_bloch(rng):
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    return v * rng.uniform() ** (1.0 / 3.0)

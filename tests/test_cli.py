@@ -39,6 +39,15 @@ class TestUsageErrors:
         code, _, _ = run(capsys, ["prob", "--input", "01"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["prob", "table"])
+    @pytest.mark.parametrize(
+        "label", ["", "0", "01", "x+", "0+0"], ids=["empty", "0", "01", "x+", "0+0"]
+    )
+    def test_input_label_outside_choices(self, capsys, command, label):
+        code, out, _ = run(capsys, [command, "--input", label])
+        assert code == 2
+        assert out == ""
+
     def test_bad_format(self, capsys):
         code, _, _ = run(capsys, ["eta", "--format", "xml"])
         assert code == 2
@@ -274,6 +283,31 @@ class TestMalformedInputs:
         code, _, err = run(capsys, ["decompose", "--state", str(path), "--basis", "Z"])
         assert code == 3
         assert "does not match" in err
+
+    def test_dimension_mismatch_names_the_basis(self, capsys, zero_state, tmp_path):
+        path = tmp_path / "fourdim.json"
+        path.write_text(json.dumps(matrix_to_json(np.eye(4))))
+        code, out, err = run(
+            capsys, ["mh", "--state", zero_state, "--basis-a", "Z", "--basis-b", str(path)]
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {path}: basis dimension 4 does not match state dimension 2\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["decompose", "--basis", "Z"], ["mh", "--basis-a", "Z", "--basis-b", "X"]],
+        ids=["decompose", "mh"],
+    )
+    def test_oversized_ket_is_checked_before_its_projector(self, capsys, tmp_path, argv):
+        # the projector of this 1.4 MB ket would need 596 GiB
+        path = tmp_path / "bigket.json"
+        path.write_text("[" + ", ".join(["[0, 0]"] * 200_000) + "]")
+        code, out, err = run(capsys, argv + ["--state", str(path)])
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert err == "error: Z: basis dimension 2 does not match state dimension 200000\n"
 
     def test_bad_basis_file(self, capsys, zero_state, tmp_path):
         path = tmp_path / "badbasis.json"

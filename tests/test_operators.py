@@ -11,7 +11,6 @@ from subens import (
     pauli_strings,
     pauli_synthesize,
     symmetric_product,
-    tensor,
 )
 from subens.operators import (
     fix_global_phase,
@@ -28,39 +27,6 @@ I2 = pauli_matrix("I")
 X = pauli_matrix("X")
 Y = pauli_matrix("Y")
 Z = pauli_matrix("Z")
-
-
-def test_tensor_identity():
-    assert almost_equal(tensor(I2, I2), np.eye(4))
-
-
-def test_tensor_diagonal():
-    assert almost_equal(tensor(Z, Z), np.diag([1, -1, -1, 1]))
-
-
-def test_tensor_of_projectors():
-    # (I+Z)/2 = |0><0| and (I+X)/2 = |+><+| evaluated entrywise by hand
-    expected = np.array(
-        [
-            [0.5, 0.5, 0.0, 0.0],
-            [0.5, 0.5, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0],
-        ]
-    )
-    result = tensor((I2 + Z) / 2, (I2 + X) / 2)
-    assert almost_equal(result, expected)
-    assert abs(np.trace(result) - 1.0) <= ATOL
-    assert almost_equal(result, result.conj().T)
-    assert np.linalg.eigvalsh(result).min() >= -ATOL
-
-
-def test_tensor_trace_multiplicative():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert abs(np.trace(tensor(a, b)) - np.trace(a) * np.trace(b)) <= 1e-10
 
 
 def test_symmetric_product_commuting():

@@ -221,11 +221,12 @@ class TestJointDistribution:
         rho = sum(
             w * projector_from_ket(ket) for w, ket in zip(p, basis.vectors)
         )
-        dist = mh_joint(rho, basis, random_basis(rng, 4))
+        basis_b = random_basis(rng, 4)
+        dist = mh_joint(rho, basis, basis_b)
         assert dist.q.min() >= -ATOL
         # commuting case: q(a,b) = p_a |<b|a>|^2
         for a, ket_a in enumerate(basis.vectors):
-            for b, ket_b in enumerate(dist.basis_b.vectors):
+            for b, ket_b in enumerate(basis_b.vectors):
                 expected = p[a] * abs(np.vdot(ket_b, ket_a)) ** 2
                 assert abs(dist.q[a, b] - expected) <= 1e-12
 
@@ -266,9 +267,10 @@ class TestJointDistribution:
             mh_joint(np.eye(2) / 2, z_basis(), random_basis(rng, 4))
 
     def test_json_dict_shape(self, capsys, tmp_path):
-        # the document is built by the CLI; the library value carries what it reads
-        dist = mh_joint(PROJ_0, z_basis(), x_basis())
-        assert (dist.basis_a.name, dist.basis_b.name, dist.q.shape) == ("Z", "X", (2, 2))
+        # the document is built by the CLI from the bases and the library's table
+        basis_a, basis_b = z_basis(), x_basis()
+        dist = mh_joint(PROJ_0, basis_a, basis_b)
+        assert (basis_a.name, basis_b.name, dist.q.shape) == ("Z", "X", (2, 2))
         state = tmp_path / "zero.json"
         state.write_text(json.dumps(matrix_to_json(PROJ_0)))
         argv = ["mh", "--state", str(state), "--basis-a", "Z", "--basis-b", "X", "--format", "json"]
