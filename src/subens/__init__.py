@@ -11,7 +11,6 @@ from .operators import (
     PauliExpansion,
     almost_equal,
     fix_global_phase,
-    is_hermitian,
     is_projector,
     pauli_expand,
     pauli_matrix,
@@ -73,7 +72,6 @@ __all__ = [
     "eta_basis",
     "eta_projector",
     "fix_global_phase",
-    "is_hermitian",
     "is_projector",
     "mh_joint",
     "named_basis",

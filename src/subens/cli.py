@@ -14,15 +14,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 
 from . import fmt
-from .operators import (
-    expansion_to_json,
-    ket_from_json,
-    ket_to_json,
-    matrix_from_json,
-    matrix_to_json,
-    pauli_strings,
-    projector_from_ket,
-)
+from .operators import ket_from_json, matrix_from_json, pauli_strings, projector_from_ket
 from .scenario import (
     INPUT_PAIRS,
     OUTCOMES,
@@ -119,8 +111,8 @@ def _emit(fmt_name: str, doc, rows, text) -> None:
 
 
 def _basis_doc(basis):
-    """Name for the built-in bases, otherwise the list of kets."""
-    return basis.name if basis.name is not None else [ket_to_json(v) for v in basis.vectors]
+    """Name for the built-in bases, otherwise the kets, one per row."""
+    return basis.name if basis.name is not None else basis.matrix.T
 
 
 def _table_text(table) -> str:
@@ -167,8 +159,8 @@ def _cmd_eta(args) -> int:
 
     def doc():
         return {
-            "projectors": [expansion_to_json(e) for e in basis.expansions],
-            "kets": [ket_to_json(k) for k in basis.kets],
+            "projectors": [{"n": e.n, "coeffs": e.coeffs} for e in basis.expansions],
+            "kets": basis.kets,
             "excluded_input": excluded,
         }
 
@@ -207,7 +199,7 @@ def _cmd_table(args) -> int:
             "input": args.input,
             "outcomes": list(OUTCOMES),
             "rows": list(table.row_labels),
-            "entries": table.entries.tolist(),
+            "entries": table.entries,
         }
 
     # the csv is the bare grid of entries, with neither header nor row labels
@@ -234,7 +226,7 @@ def _cmd_verify(args) -> int:
                     "rows": [
                         {"label": row, "entries": entries, "negatives": negatives}
                         for row, entries, negatives in zip(
-                            table.row_labels, table.entries.tolist(), table.negative_outcomes()
+                            table.row_labels, table.entries, table.negative_outcomes()
                         )
                     ],
                 }
@@ -286,7 +278,7 @@ def _cmd_decompose(args) -> int:
                     "outcome": t.outcome_index,
                     "label": basis.labels[t.outcome_index],
                     "weight": t.weight,
-                    "operator": matrix_to_json(t.operator),
+                    "operator": t.operator,
                 }
                 for t in terms
             ],
@@ -328,7 +320,7 @@ def _cmd_mh(args) -> int:
         return {
             "basisA": _basis_doc(basis_a),
             "basisB": _basis_doc(basis_b),
-            "q": dist.q.tolist(),
+            "q": dist.q,
         }
 
     def rows():

@@ -1,14 +1,17 @@
 """Deterministic plain-text rendering: JSON, CSV lines, fixed-width tables.
 
 The JSON emitter exists because the stdlib encoder offers no control over
-float formatting. Machine formats use 17 significant digits (round-trip exact
-for doubles); pretty output uses 6.
+float formatting; it renders numpy arrays whole, without a list per row.
+Machine formats use 17 significant digits (round-trip exact for doubles);
+pretty output uses 6.
 """
 
 from __future__ import annotations
 
 import json
 import math
+
+import numpy as np
 
 JSON_DIGITS = 17
 PRETTY_DIGITS = 6
@@ -37,9 +40,36 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _array_text(a: np.ndarray, indent: int) -> str:
+    """A real or complex array laid out as ``_emit`` lays out nested lists, a
+    complex entry as an [re, im] pair; every entry is formatted in one pass."""
+    if np.iscomplexobj(a):
+        a = np.stack((a.real, a.imag), axis=-1)
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite value {a[~finite][0]}")
+    # + 0.0 folds -0.0
+    parts = list(map(f"{{:.{JSON_DIGITS}g}}".format, (a + 0.0).ravel().tolist()))
+    # the innermost axis makes one-line rows, each outer axis a block of the level below
+    for axis in reversed(range(a.ndim)):
+        n = a.shape[axis]
+        if axis == a.ndim - 1:
+            head, sep, tail = "[", ", ", "]"
+        else:
+            pad = "  " * (indent + axis)
+            head, sep, tail = f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]"
+        groups = [parts[i * n : (i + 1) * n] for i in range(math.prod(a.shape[:axis]))]
+        parts = [head + sep.join(g) + tail if g else "[]" for g in groups]
+    return parts[0]
+
+
 def _emit(obj, out: list, indent: int) -> None:
+    """Append the text of obj to out in pieces that ``dumps`` joins once, so
+    no level copies the text of the arrays below it."""
     pad = "  " * indent
-    if isinstance(obj, dict):
+    if isinstance(obj, np.ndarray):
+        out.append(_array_text(obj, indent))
+    elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
@@ -50,30 +80,21 @@ def _emit(obj, out: list, indent: int) -> None:
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        if all(_is_number(v) for v in items):
-            cells = [
-                format_float(v) if isinstance(v, float) else str(v) for v in items
-            ]
-            out.append("[" + ", ".join(cells) + "]")
+        if all(_is_number(v) for v in obj):  # an empty list too
+            out.append(_array_text(np.array(obj, dtype=float), indent))
             return
         out.append("[\n")
-        for i, value in enumerate(items):
+        for i, value in enumerate(obj):
             out.append(pad + "  ")
             _emit(value, out, indent + 1)
-            out.append(",\n" if i < len(items) - 1 else "\n")
+            out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "]")
-    elif isinstance(obj, bool) or obj is None:
+    elif isinstance(obj, (bool, str)) or obj is None:
         out.append(json.dumps(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
         out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -3,7 +3,7 @@
 All operators in this package are plain numpy arrays with ``dtype=complex``.
 This module provides the symmetric product, the conversion
 between Hermitian matrices and real Pauli-string coefficient maps, and the
-JSON encoding shared by the command-line tools.
+loaders of the command-line tools' JSON state and basis files.
 
 Conventions:
   - qubit 0 is the leftmost tensor factor, so ``pauli_matrix("XZ")`` acts as
@@ -89,17 +89,10 @@ def symmetric_product(a, b) -> np.ndarray:
     return 0.5 * (a @ b + b @ a)
 
 
-def is_hermitian(m) -> bool:
-    m = _square(m)
-    return bool(np.all(np.abs(m - m.conj().T) <= ATOL))
-
-
 def is_projector(m) -> bool:
     """True iff m is Hermitian and idempotent within ATOL."""
     m = _square(m)
-    if not is_hermitian(m):
-        return False
-    return bool(np.all(np.abs(m @ m - m) <= ATOL))
+    return almost_equal(m, m.conj().T) and almost_equal(m @ m, m)
 
 
 @dataclass(frozen=True)
@@ -187,59 +180,63 @@ def fix_global_phase(ket) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding: a complex number is a two-element [re, im] array, a matrix is
-# an array of rows, a ket an array of amplitudes. Pauli expansions serialize
-# as {"n": int, "coeffs": {"XZ": 0.25, ...}}.
+# JSON loaders: a complex number is a two-element [re, im] array, a matrix is
+# an array of rows, a ket an array of amplitudes.
 # ---------------------------------------------------------------------------
 
 
-def _complex_from_json(item, where: str) -> complex:
-    if (
-        not isinstance(item, (list, tuple))
-        or len(item) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in item)
-    ):
-        raise ValueError(f"{where}: a complex number must be a [re, im] pair")
+def _complex_array(data, ndim: int) -> np.ndarray | None:
+    """The complex entries of data, a d**ndim array of [re, im] pairs of JSON
+    numbers; None if data is anything else."""
     try:
-        return complex(item[0], item[1])
-    except OverflowError:
-        # a JSON integer can be larger than any double
-        raise ValueError(f"{where}: number too large for a double") from None
+        a = np.array(data, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        return None  # ragged, a string, an object, or an integer beyond a double
+    if a.shape != a.shape[:1] * ndim + (2,):
+        return None
+    leaves = data
+    for _ in range(ndim):
+        leaves = itertools.chain.from_iterable(leaves)
+    # dtype=float also reads true, "1" and null, as 1.0, 1.0 and nan
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
+    # the bits of each re and im as read: no arithmetic, so -0.0 and inf survive
+    return a.view(complex)[..., 0]
 
 
-def matrix_to_json(m) -> list:
-    m = _square(m)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+def _check_pair(item, where: str) -> None:
+    """Raise the reason item is no [re, im] pair of numbers that fit a double."""
+    if not isinstance(item, list) or len(item) != 2 or not set(map(type, item)) <= {int, float}:
+        raise ValueError(f"{where}: a complex number must be a [re, im] pair")
+    if _complex_array(item, 0) is None:
+        raise ValueError(f"{where}: number too large for a double")
 
 
 def matrix_from_json(data) -> np.ndarray:
-    if not isinstance(data, list) or not data:
-        raise ValueError("matrix must be a non-empty array of rows")
-    dim = len(data)
-    # check the shape first: the allocation grows as the square of the row count
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ValueError(f"matrix row {i} must be an array of {dim} entries")
-    out = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(data):
-        for j, item in enumerate(row):
-            out[i, j] = _complex_from_json(item, f"matrix entry ({i},{j})")
-    return out
+    """A square matrix from an array of rows of [re, im] pairs.
 
-
-def ket_to_json(ket) -> list:
-    k = _ket(ket)
-    return [[float(z.real), float(z.imag)] for z in k]
+    Data the array conversion refuses is walked entry by entry only to word
+    the rejection; the walk raises on exactly that data.
+    """
+    m = _complex_array(data, 2)
+    if m is None:
+        if not isinstance(data, list) or not data:
+            raise ValueError("matrix must be a non-empty array of rows")
+        for i, row in enumerate(data):
+            if not isinstance(row, list) or len(row) != len(data):
+                raise ValueError(f"matrix row {i} must be an array of {len(data)} entries")
+        for i, row in enumerate(data):
+            for j, item in enumerate(row):
+                _check_pair(item, f"matrix entry ({i},{j})")
+    return m
 
 
 def ket_from_json(data) -> np.ndarray:
-    if not isinstance(data, list) or not data:
-        raise ValueError("ket must be a non-empty array of amplitudes")
-    return np.array(
-        [_complex_from_json(item, f"ket amplitude {i}") for i, item in enumerate(data)],
-        dtype=complex,
-    )
-
-
-def expansion_to_json(e: PauliExpansion) -> dict:
-    return {"n": e.n, "coeffs": dict(e.coeffs)}
+    """A ket from an array of [re, im] amplitudes; rejections as for a matrix."""
+    k = _complex_array(data, 1)
+    if k is None:
+        if not isinstance(data, list) or not data:
+            raise ValueError("ket must be a non-empty array of amplitudes")
+        for i, item in enumerate(data):
+            _check_pair(item, f"ket amplitude {i}")
+    return k

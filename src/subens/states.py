@@ -52,7 +52,7 @@ def preparation_density(label: str) -> np.ndarray:
         raise ValueError(f"unknown preparation label {label!r}; expected 0 or +") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductPreparation:
     """Two-system product preparation with density rho(first) x rho(second)."""
 

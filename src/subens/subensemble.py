@@ -22,7 +22,6 @@ import numpy as np
 from .operators import (
     ATOL,
     _square,
-    is_hermitian,
     is_projector,
     symmetric_product,
 )
@@ -63,18 +62,8 @@ class MeasurementBasis:
         if not np.isfinite(v).all():
             raise ValueError("basis vectors have non-finite entries")
         vh = v.conj().T
-        residual = _distance_from_identity(vh @ v)
-        if residual > ATOL:
-            raise ValueError(
-                f"basis vectors are not orthonormal: max|V^H V - I| = {residual:.3g} "
-                f"exceeds tolerance {ATOL:g}"
-            )
-        residual = _distance_from_identity(v @ vh)
-        if residual > ATOL:
-            raise ValueError(
-                f"basis is not complete: max|V V^H - I| = {residual:.3g} "
-                f"exceeds tolerance {ATOL:g}"
-            )
+        _check_distance("basis vectors are not orthonormal: max|V^H V - I|", vh @ v, np.eye(dim))
+        _check_distance("basis is not complete: max|V V^H - I|", v @ vh, np.eye(dim))
         labels = tuple(str(s) for s in labels)
         if len(labels) != dim:
             raise ValueError("need one label per basis vector")
@@ -93,9 +82,13 @@ class MeasurementBasis:
         return tuple(self.matrix.T)
 
 
-def _distance_from_identity(m: np.ndarray) -> float:
-    """max|m - I| over the entries of a square matrix."""
-    return float(np.abs(m - np.eye(m.shape[0])).max())
+def _check_distance(defect: str, a: np.ndarray, b: np.ndarray) -> None:
+    """Raise unless max|a - b| over the entries is within ATOL; the message
+    is the defect, the distance and the tolerance. A NaN distance, from
+    entries whose products overflow, is not within it."""
+    distance = float(np.abs(a - b).max())
+    if not distance <= ATOL:
+        raise ValueError(f"{defect} = {distance:.3g} exceeds tolerance {ATOL:g}")
 
 
 def basis_from_kets(kets, labels=None, name: str | None = None) -> MeasurementBasis:
@@ -128,8 +121,7 @@ def validate_density(rho, dim: int | None = None) -> np.ndarray:
         raise ValueError("density matrix has non-finite entries")
     if dim is not None and rho.shape[0] != dim:
         raise ValueError(f"density matrix has dimension {rho.shape[0]}, expected {dim}")
-    if not is_hermitian(rho):
-        raise ValueError("density matrix is not Hermitian")
+    _check_distance("density matrix is not Hermitian: max|rho - rho^H|", rho, rho.conj().T)
     trace = complex(np.trace(rho))
     if abs(trace - 1.0) > ATOL:
         raise ValueError(f"density matrix trace {trace} is not 1")

@@ -1,4 +1,5 @@
-"""Shared random-object generators for the property tests."""
+"""Shared random-object generators for the property tests, and the JSON form
+of a matrix for state files."""
 
 import numpy as np
 
@@ -25,3 +26,9 @@ def random_unitary(rng, dim):
 def random_basis(rng, dim):
     q = random_unitary(rng, dim)
     return basis_from_kets([q[:, k] for k in range(dim)])
+
+
+def matrix_to_json(m):
+    """A complex matrix as the rows of [re, im] pairs that a state file holds."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack((m.real, m.imag), axis=-1).tolist()

@@ -8,7 +8,8 @@ import subens.cli as cli
 import subens.scenario as scenario
 import subens.subensemble as subensemble
 from subens.cli import main
-from subens.operators import matrix_to_json
+
+from helpers import matrix_to_json
 
 ZERO_DENSITY = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
 
@@ -336,6 +337,22 @@ class TestMalformedInputs:
         assert out == ""
         assert "non-finite" in err
         assert "Traceback" not in err
+
+    def test_basis_whose_products_overflow_is_rejected(self, capsys, zero_state, tmp_path):
+        # V^H V holds inf - inf = nan, which no comparison with the tolerance rejects
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps([[[1e200, 0], [1e200, 0]], [[1e200, 0], [0, 1e200]]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run(
+                capsys, ["mh", "--state", zero_state, "--basis-a", "Z", "--basis-b", str(path)]
+            )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"error: {path}: basis vectors are not orthonormal: "
+            "max|V^H V - I| = nan exceeds tolerance 1e-12\n"
+        )
 
     def test_basis_error_gives_residual(self, capsys, zero_state, tmp_path):
         s = 0.707107

@@ -82,6 +82,31 @@ def test_any_document_exits_0_or_3(workdir, data):
             assert err.startswith("error: ")
 
 
+NOT_A_PAIR = "a complex number must be a [re, im] pair"
+
+
+@pytest.mark.parametrize(
+    "leaf, reason",
+    [
+        (True, NOT_A_PAIR),
+        (False, NOT_A_PAIR),
+        (None, NOT_A_PAIR),
+        ("1", NOT_A_PAIR),
+        (10**400, "number too large for a double"),
+    ],
+    ids=["true", "false", "null", "string", "int-beyond-double"],
+)
+def test_non_numbers_are_rejected_naming_the_entry(leaf, reason):
+    # an array conversion with dtype=float alone would read true, "1" and null
+    # as 1.0, 1.0 and nan
+    with pytest.raises(ValueError) as exc:
+        matrix_from_json([[[1, 0], [0, 0]], [[0, 0], [0, leaf]]])
+    assert str(exc.value) == f"matrix entry (1,1): {reason}"
+    with pytest.raises(ValueError) as exc:
+        ket_from_json([[1, 0], [leaf, 0]])
+    assert str(exc.value) == f"ket amplitude 1: {reason}"
+
+
 def bits(a):
     return np.asarray(a, dtype=complex).view(np.uint64)
 

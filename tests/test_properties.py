@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subens import basis_from_kets, decompose, mh_joint
+from subens import ATOL, basis_from_kets, decompose, mh_joint
 
 from helpers import random_basis, random_unitary
 
@@ -77,3 +77,15 @@ def test_table_is_unitarily_covariant(case):
     moved_b = basis_from_kets(list((u @ basis_b.matrix).T))
     q = mh_joint(rho, basis_a, basis_b).q
     assert np.abs(mh_joint(moved_rho, moved_a, moved_b).q - q).max() <= TOL
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.booleans())
+def test_state_commuting_with_a_basis_has_a_nonnegative_table(case, diagonal_in_a):
+    # rho = sum_f p_f |f><f| over the kets of one basis; then
+    # q(a, b) = p_a |<b|a>|^2 (or p_b |<b|a>|^2), a true joint distribution
+    _, basis_a, basis_b, rng = case
+    v = (basis_a if diagonal_in_a else basis_b).matrix
+    p = rng.dirichlet(np.ones(v.shape[0]))
+    rho = (v * p) @ v.conj().T
+    assert mh_joint(rho, basis_a, basis_b).q.min() >= -ATOL

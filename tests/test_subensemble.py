@@ -17,6 +17,7 @@ from subens import (
     named_basis,
     negativity,
     pauli_matrix,
+    product_input,
     projector_from_ket,
     standard_ket,
     validate_density,
@@ -24,9 +25,8 @@ from subens import (
     z_basis,
 )
 from subens.cli import main
-from subens.operators import matrix_to_json
 
-from helpers import random_basis, random_density
+from helpers import matrix_to_json, random_basis, random_density
 
 I2 = pauli_matrix("I")
 X = pauli_matrix("X")
@@ -104,8 +104,11 @@ class TestValidateDensity:
             validate_density(np.eye(2))
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
+        with pytest.raises(ValueError) as exc:
             validate_density(np.array([[0.5, 0.5], [0.0, 0.5]]))
+        assert str(exc.value) == (
+            "density matrix is not Hermitian: max|rho - rho^H| = 0.5 exceeds tolerance 1e-12"
+        )
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="negative eigenvalue"):
@@ -310,8 +313,16 @@ class TestArrayHoldingValues:
             lambda: mh_joint(PROJ_0, z_basis(), x_basis()),
             eta_basis,
             lambda: contribution_table("0", "0"),
+            lambda: product_input("0", "0"),
         ],
-        ids=["MeasurementBasis", "SubensembleOperator", "JointQuasiDistribution", "EtaBasis", "ContributionTable"],
+        ids=[
+            "MeasurementBasis",
+            "SubensembleOperator",
+            "JointQuasiDistribution",
+            "EtaBasis",
+            "ContributionTable",
+            "ProductPreparation",
+        ],
     )
     def test_equality_and_hash_do_not_raise(self, make):
         # a generated dataclass __eq__ would compare the ndarray fields and raise
