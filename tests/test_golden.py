@@ -2,7 +2,8 @@
 
 Each case is one CLI invocation, named command.args.format; its stdout is
 pinned by sha256. The states are |0> as a density-matrix file and |+> as a
-ket file, so both state loaders are covered. When a digest changes on
+ket file, so both state loaders are covered, and a mixed d = 4 state, which
+``decompose`` and ``mh`` run over two custom 4×4 basis files. When a digest changes on
 purpose, update it here and say which output changed and why.
 """
 
@@ -15,6 +16,12 @@ import pytest
 from subens.cli import main
 
 GOLDEN = {
+    "decompose.mixed4.F.csv": "005381a0e576a38cd32246493b7027b4d23dda5de6294219eaf0c25efb8dba2d",
+    "decompose.mixed4.F.json": "b9344c03a45b29837563ee0f83f904f01e790416adedf9087f20ee0747b25e13",
+    "decompose.mixed4.F.pretty": "ea4d340f590e2869d39750ed2de06a1f884b9d290ddbd09f4d0c9ff4794316d0",
+    "decompose.mixed4.U.csv": "290d87ce4a7483829561ebb52bad1d3a307bc7ca0c983693f3c0272dff301ea1",
+    "decompose.mixed4.U.json": "44e3d8416631e8468742d502ea2c364eb9e148e47dcbfb00583bfdcec452f5cb",
+    "decompose.mixed4.U.pretty": "b698a3766dda38e0fa0338b90a376e176844667dba03918e33f675f9ac74ea31",
     "decompose.plus.X.csv": "3c9b9cd8fbb83195b669ea9e748bfd84b9a5240c7ebf3826e481e25d393013e7",
     "decompose.plus.X.json": "1947cadcc552c064df10cdd84a249d70483cc553d9667d331dd0f2129a2dc0a3",
     "decompose.plus.X.pretty": "575dde7b8719d29cb7dddbf10e16d58ad70ec5d453ff97f0f824255a7c334133",
@@ -30,6 +37,9 @@ GOLDEN = {
     "eta.csv": "30522f292c1313a62eb966a43ddb0febccdededb7e4386002eac002d031f6882",
     "eta.json": "602babed9df0f0ade67d3bd57bd6a3b7831c6e264b73c03e6a5d9ac5960129f7",
     "eta.pretty": "7d4f62e4ed36906942cfd64d7efbfbe149893a4a4f3e1564bb55c4eb5d86a6bc",
+    "mh.mixed4.UF.csv": "ec208783beffd48016d9d2304d4e8a071ed7e13314a835c0985d2d03f79fce40",
+    "mh.mixed4.UF.json": "93abadc8c210578d67a9e44ab38cc19ff8cd843b70b5435e55dc4e05039f428a",
+    "mh.mixed4.UF.pretty": "5a152d3628e737396529402a8ea6e2c35264dc53e94932e1c3211648e30e66f9",
     "mh.plus.XZ.csv": "f00f9beafbb82568019f608bce4ce627a3ac9301b98fc336f999bcf0f8dde238",
     "mh.plus.XZ.json": "3672371f0f519e7452f0c13724496905792bad5047aa7933748df404199aead5",
     "mh.plus.XZ.pretty": "5221a071090049d157a705263392614e42e87d9d8ff53d80de97be94bc2cc30a",
@@ -74,7 +84,37 @@ GOLDEN = {
 STATES = {
     "zero": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
     "plus": [[np.sqrt(0.5), 0], [np.sqrt(0.5), 0]],
+    "mixed4": [
+        [[0.4, 0], [0.05, 0.02], [0, -0.03], [0.01, 0]],
+        [[0.05, -0.02], [0.3, 0], [0.04, 0.01], [-0.02, 0.03]],
+        [[0, 0.03], [0.04, -0.01], [0.2, 0], [0.015, -0.005]],
+        [[0.01, 0], [-0.02, -0.03], [0.015, 0.005], [0.1, 0]],
+    ],
 }
+
+
+def _custom_bases():
+    """Basis files by name, each a list of kets: U is a product of two real
+    and complex 2×2 rotations, F the 4-point Fourier basis."""
+    a, b = np.sqrt(1 / 3), np.sqrt(2 / 3)
+    u = np.kron(np.array([[a, b], [b, -a]]), np.array([[a, 1j * b], [1j * b, a]]))
+    f = np.array([[1j ** (j * k) for k in range(4)] for j in range(4)]) / 2
+    return {
+        name: [[[z.real, z.imag] for z in ket] for ket in m.T.tolist()]
+        for name, m in (("U", u), ("F", f))
+    }
+
+
+BASES = _custom_bases()
+
+
+def _basis(name, state_dir):
+    """A built-in basis name as it is, a custom one as the path of its file."""
+    if name in ("Z", "X"):
+        return name
+    path = state_dir / f"{name}.json"
+    path.write_text(json.dumps(BASES[name]))
+    return str(path)
 
 
 def _argv(name, state_dir):
@@ -87,9 +127,10 @@ def _argv(name, state_dir):
         state = state_dir / f"{args[0]}.json"
         state.write_text(json.dumps(STATES[args[0]]))
         if command == "decompose":
-            argv = [command, "--state", str(state), "--basis", args[1]]
+            argv = [command, "--state", str(state), "--basis", _basis(args[1], state_dir)]
         else:
-            argv = [command, "--state", str(state), "--basis-a", args[1][0], "--basis-b", args[1][1]]
+            a, b = (_basis(name, state_dir) for name in args[1])
+            argv = [command, "--state", str(state), "--basis-a", a, "--basis-b", b]
     return argv + ["--format", fmt]
 
 
