@@ -13,8 +13,11 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 
+import numpy as np
+
 from . import fmt
-from .operators import ket_from_json, matrix_from_json, pauli_strings, projector_from_ket
+from .operators import _complex_array, ket_from_json, matrix_from_json
+from .operators import pauli_strings, projector_from_ket
 from .scenario import (
     INPUT_PAIRS,
     OUTCOMES,
@@ -75,8 +78,9 @@ def _load_state(path: str):
 
 def _density(state):
     """The state as a matrix; a ket becomes its d×d projector, so check the
-    bases against the ket's length first."""
-    return projector_from_ket(state) if state.ndim == 1 else state
+    bases against the ket's length first. Overflow gives inf entries, which the kernel rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return projector_from_ket(state) if state.ndim == 1 else state
 
 
 def _load_basis(source: str, dim: int):
@@ -87,7 +91,8 @@ def _load_basis(source: str, dim: int):
         if not isinstance(data, list):
             raise InputFileError(f"{source}: basis file must be an array of kets")
         with _blame(source):
-            basis = basis_from_kets([ket_from_json(k) for k in data])
+            kets = _complex_array(data, 2)  # walk the kets only to word a rejection
+            basis = basis_from_kets([ket_from_json(k) for k in data] if kets is None else kets)
     if basis.dim != dim:
         raise InputFileError(
             f"{source}: basis dimension {basis.dim} does not match state dimension {dim}"
@@ -135,13 +140,14 @@ def _expansion_text(expansion) -> str:
 
 
 def _ket_text(ket) -> str:
-    return "(" + ", ".join(fmt.format_complex(z) for z in ket) + ")"
+    return "(" + ", ".join(fmt.complex_cells(ket)) + ")"
 
 
 def _matrix_lines(m) -> list:
-    cells = [[fmt.format_complex(z) for z in row] for row in m]
-    width = max(len(c) for row in cells for c in row)
-    return ["  " + "  ".join(c.rjust(width) for c in row) for row in cells]
+    cells = fmt.complex_cells(m)
+    width = max(map(len, cells))
+    cells = [c.rjust(width) for c in cells]
+    return ["  " + "  ".join(cells[i : i + m.shape[1]]) for i in range(0, len(cells), m.shape[1])]
 
 
 def _cmd_eta(args) -> int:
@@ -203,7 +209,7 @@ def _cmd_table(args) -> int:
         }
 
     # the csv is the bare grid of entries, with neither header nor row labels
-    _emit(args.format, doc, table.entries.tolist, lambda: _table_text(table))
+    _emit(args.format, doc, lambda: [[row] for row in table.entries], lambda: _table_text(table))
     return 0
 
 
@@ -289,8 +295,8 @@ def _cmd_decompose(args) -> int:
         out = [["outcome", "label", "weight"] + [f"{c}_{p}" for c in cells for p in ("re", "im")]]
         for t in terms:
             # a complex array viewed as floats interleaves re and im
-            parts = t.operator.ravel().view(float).tolist()
-            out.append([t.outcome_index, basis.labels[t.outcome_index], t.weight] + parts)
+            parts = t.operator.ravel().view(float)
+            out.append([t.outcome_index, basis.labels[t.outcome_index], t.weight, parts])
         return out
 
     def text():

@@ -1,15 +1,16 @@
 """Deterministic plain-text rendering: JSON, CSV lines, fixed-width tables.
 
 The JSON emitter exists because the stdlib encoder offers no control over
-float formatting; it renders numpy arrays whole, without a list per row.
-Machine formats use 17 significant digits (round-trip exact for doubles);
-pretty output uses 6.
+float formatting. Every renderer formats the numbers of a whole array at once,
+as one format template filled in one pass. Machine formats use 17 significant
+digits (round-trip exact for doubles); pretty output uses 6.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -18,22 +19,34 @@ PRETTY_DIGITS = 6
 
 
 def format_float(x, digits: int = JSON_DIGITS) -> str:
+    """One number by the rule of ``_fill``, without the cost of an array."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x}")
-    if x == 0.0:
-        x = 0.0  # fold -0.0
-    return format(x, f".{digits}g")
+    return f"%.{digits}g" % (x + 0.0)  # + 0.0 folds -0.0
 
 
-def format_complex(z) -> str:
-    z = complex(z)
-    if z.imag == 0.0:
-        return format_float(z.real, PRETTY_DIGITS)
-    re = format_float(z.real, PRETTY_DIGITS)
-    im = format_float(z.imag, PRETTY_DIGITS)
-    sign = "" if im.startswith("-") else "+"
-    return f"{re}{sign}{im}i"
+def _fill(template: str, cells) -> str:
+    """template % the entries of the real cells, numbers and arrays, in one
+    pass; a non-finite entry raises, and -0.0 prints as 0."""
+    a = np.concatenate([np.ravel(c) for c in cells]) if cells else np.empty(0)
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite value {a[~finite][0]}")
+    return template % tuple((a + 0.0).tolist())  # + 0.0 folds -0.0
+
+
+def complex_cells(z) -> list:
+    """Pretty text of each entry of a complex array: re, or re±im i when im
+    is not 0, formatted in one pass."""
+    z = np.asarray(z, dtype=complex).ravel()
+    if not z.size:
+        return []
+    has_im = z.imag != 0
+    cells = np.where(has_im, f"%.{PRETTY_DIGITS}g%+.{PRETTY_DIGITS}gi", f"%.{PRETTY_DIGITS}g")
+    # each entry's re, then its im unless that is 0
+    pairs = np.stack((z.real, z.imag), axis=-1)[np.stack((np.ones_like(has_im), has_im), axis=-1)]
+    return _fill("\n".join(cells.tolist()), [pairs]).split("\n")
 
 
 def _is_number(v) -> bool:
@@ -42,15 +55,12 @@ def _is_number(v) -> bool:
 
 def _array_text(a: np.ndarray, indent: int) -> str:
     """A real or complex array laid out as ``_emit`` lays out nested lists, a
-    complex entry as an [re, im] pair; every entry is formatted in one pass."""
+    complex entry as an [re, im] pair, filled into one template."""
     if np.iscomplexobj(a):
         a = np.stack((a.real, a.imag), axis=-1)
-    finite = np.isfinite(a)
-    if not finite.all():
-        raise ValueError(f"cannot serialize non-finite value {a[~finite][0]}")
-    # + 0.0 folds -0.0
-    parts = list(map(f"{{:.{JSON_DIGITS}g}}".format, (a + 0.0).ravel().tolist()))
-    # the innermost axis makes one-line rows, each outer axis a block of the level below
+    # the innermost axis makes one-line rows, each outer axis a block of the
+    # level below; every group at one level has the same text
+    text = f"%.{JSON_DIGITS}g"
     for axis in reversed(range(a.ndim)):
         n = a.shape[axis]
         if axis == a.ndim - 1:
@@ -58,9 +68,8 @@ def _array_text(a: np.ndarray, indent: int) -> str:
         else:
             pad = "  " * (indent + axis)
             head, sep, tail = f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]"
-        groups = [parts[i * n : (i + 1) * n] for i in range(math.prod(a.shape[:axis]))]
-        parts = [head + sep.join(g) + tail if g else "[]" for g in groups]
-    return parts[0]
+        text = head + sep.join([text] * n) + tail if n else "[]"
+    return _fill(text, [a])
 
 
 def _emit(obj, out: list, indent: int) -> None:
@@ -107,6 +116,7 @@ def dumps(obj) -> str:
 
 
 def csv_line(cells) -> str:
+    """Comma-separated cells; an ndarray cell stands for its entries."""
     parts = []
     for cell in cells:
         if isinstance(cell, str):
@@ -115,27 +125,30 @@ def csv_line(cells) -> str:
             parts.append(str(cell).lower())
         elif isinstance(cell, int):
             parts.append(str(cell))
-        else:
+        elif not isinstance(cell, np.ndarray):
             parts.append(format_float(cell))
+        elif cell.size:
+            parts.append(_fill(",".join([f"%.{JSON_DIGITS}g"] * cell.size), [cell]))
     return ",".join(parts)
 
 
 def labelled_rows(labels, values) -> list:
     """Rows for ``csv_line`` and ``render_table``: each label, then its row of
-    the 2-D array ``values`` as floats."""
-    return [[label, *row] for label, row in zip(labels, values.tolist())]
+    the 2-D array ``values``."""
+    return [[label, row] for label, row in zip(labels, values)]
 
 
 def render_table(header, rows) -> str:
-    """Fixed-width table: first column left-justified, the rest right-justified."""
-    text_rows = [list(header)]
-    for row in rows:
-        text_rows.append(
-            [
-                cell if isinstance(cell, str) else format_float(cell, PRETTY_DIGITS)
-                for cell in row
-            ]
-        )
+    """Fixed-width table: first column left-justified, the rest right-justified.
+    Every cell that is not a string is a number, or an ndarray whose entries
+    take a column each."""
+    numbers = [c for row in rows for c in row if not isinstance(c, str)]
+    template = "\n".join([f"%.{PRETTY_DIGITS}g"] * sum(map(np.size, numbers)))
+    filled = iter(_fill(template, numbers).split("\n"))
+    text_rows = [list(header)] + [
+        [t for c in row for t in ([c] if isinstance(c, str) else islice(filled, np.size(c)))]
+        for row in rows
+    ]
     widths = [
         max(len(r[col]) for r in text_rows) for col in range(len(text_rows[0]))
     ]

@@ -46,6 +46,7 @@ class MeasurementBasis:
     labels: tuple
     name: str | None = None
 
+    @np.errstate(over="ignore", invalid="ignore")  # overflow reads as a NaN or inf, rejected
     def __init__(self, vectors, labels, name: str | None = None):
         kets = [np.asarray(v, dtype=complex) for v in vectors]
         if not kets:
@@ -114,6 +115,7 @@ def named_basis(name: str) -> MeasurementBasis:
     raise ValueError(f"unknown basis name {name!r}; expected Z or X")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads as a NaN or inf, rejected
 def validate_density(rho, dim: int | None = None) -> np.ndarray:
     """Return rho as an array, raising unless it is a valid density matrix."""
     rho = _square(rho, "density matrix")
@@ -126,6 +128,8 @@ def validate_density(rho, dim: int | None = None) -> np.ndarray:
     if abs(trace - 1.0) > ATOL:
         raise ValueError(f"density matrix trace {trace} is not 1")
     lowest = float(np.linalg.eigvalsh(rho)[0])
+    if not np.isfinite(lowest):
+        raise ValueError(f"density matrix overflows the eigensolver: lowest eigenvalue {lowest}")
     if lowest < -POSITIVITY_ATOL:
         raise ValueError(f"density matrix has negative eigenvalue {lowest}")
     return rho

@@ -1,5 +1,7 @@
-"""Shared random-object generators for the property tests, and the JSON form
-of a matrix for state files."""
+"""Shared random-object generators for the property tests, the JSON form of
+a matrix for state files, and per-entry reference renderers."""
+
+import math
 
 import numpy as np
 
@@ -32,3 +34,57 @@ def matrix_to_json(m):
     """A complex matrix as the rows of [re, im] pairs that a state file holds."""
     m = np.asarray(m, dtype=complex)
     return np.stack((m.real, m.imag), axis=-1).tolist()
+
+
+# Reference renderers: each number is formatted on its own, by the rules the
+# renderers in ``subens.fmt`` apply to whole arrays.
+
+
+def format_float(x, digits=17):
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite value {x}")
+    if x == 0.0:
+        x = 0.0  # fold -0.0
+    return format(x, f".{digits}g")
+
+
+def format_complex(z):
+    """re, or re+im i / re-im i when im is not 0, each to 6 digits."""
+    z = complex(z)
+    if z.imag == 0.0:
+        return format_float(z.real, 6)
+    re = format_float(z.real, 6)
+    im = format_float(z.imag, 6)
+    sign = "" if im.startswith("-") else "+"
+    return f"{re}{sign}{im}i"
+
+
+def reference_json(a, indent=0):
+    """The JSON text of an array at the given indent: nested lists, a complex
+    entry as an [re, im] pair, innermost lists on one line."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        a = np.stack((a.real, a.imag), axis=-1)
+    if a.ndim == 0:
+        return format_float(a)
+    if not len(a):
+        return "[]"
+    if a.ndim == 1:
+        return "[" + ", ".join(format_float(x) for x in a) + "]"
+    pad = "  " * indent
+    inner = [pad + "  " + reference_json(sub, indent + 1) for sub in a]
+    return "[\n" + ",\n".join(inner) + "\n" + pad + "]"
+
+
+def reference_table(header, rows):
+    """A fixed-width table of string and float cells: the first column
+    left-justified, the rest right-justified, floats to 6 digits."""
+    text_rows = [list(header)]
+    text_rows += [[c if isinstance(c, str) else format_float(c, 6) for c in row] for row in rows]
+    widths = [max(len(r[col]) for r in text_rows) for col in range(len(header))]
+    lines = []
+    for r in text_rows:
+        cells = [r[0].ljust(widths[0])] + [c.rjust(w) for c, w in zip(r[1:], widths[1:])]
+        lines.append("  ".join(cells).rstrip())
+    return "\n".join(lines)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -353,6 +355,56 @@ class TestMalformedInputs:
             f"error: {path}: basis vectors are not orthonormal: "
             "max|V^H V - I| = nan exceeds tolerance 1e-12\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["decompose", "--basis", "Z"], ["mh", "--basis-a", "Z", "--basis-b", "X"]],
+        ids=["decompose", "mh"],
+    )
+    def test_state_that_overflows_the_eigensolver_is_rejected(self, capsys, tmp_path, argv):
+        # Hermitian with trace 1, but eigvalsh returns NaN, which no comparison rejects
+        big = 1.7e308
+        path = tmp_path / "bigstate.json"
+        path.write_text(json.dumps([[[0.5, 0], [big, big]], [[big, -big], [0.5, 0]]]))
+        code, out, err = run(capsys, argv + ["--state", str(path)])
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"error: {path}: density matrix overflows the eigensolver: lowest eigenvalue nan\n"
+        )
+
+    @pytest.mark.parametrize(
+        "which, document, message",
+        [
+            (
+                "state",
+                [[[0.5, 0], [1.7e308, 1.7e308]], [[-1.7e308, -1.7e308], [0.5, 0]]],
+                "density matrix is not Hermitian: max|rho - rho^H| = inf exceeds tolerance 1e-12",
+            ),
+            ("state", [[1e200, 0], [0, 0]], "density matrix has non-finite entries"),
+            (
+                "basis",
+                [[[1e200, 0], [1e200, 0]], [[1e200, 0], [0, 1e200]]],
+                "basis vectors are not orthonormal: max|V^H V - I| = nan exceeds tolerance 1e-12",
+            ),
+        ],
+        ids=["matrix-state", "ket-state", "basis"],
+    )
+    def test_overflow_prints_only_the_error_line(
+        self, zero_state, tmp_path, which, document, message
+    ):
+        # a child process, so that a numpy RuntimeWarning would reach its stderr
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(document))
+        state, basis = (str(path), "Z") if which == "state" else (zero_state, str(path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "subens", "decompose", "--state", state, "--basis", basis],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {path}: {message}\n"
 
     def test_basis_error_gives_residual(self, capsys, zero_state, tmp_path):
         s = 0.707107
