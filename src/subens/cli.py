@@ -37,12 +37,12 @@ class InputFileError(Exception):
 
 
 @contextmanager
-def _blame(path: str):
-    """Report a ValueError raised in the block as a fault of the file at path."""
+def _blame(where: str):
+    """Report a ValueError raised in the block as a fault of a file, or of a part of one."""
     try:
         yield
     except ValueError as exc:
-        raise InputFileError(f"{path}: {exc}") from exc
+        raise InputFileError(f"{where}: {exc}") from exc
 
 
 def _load_json(path: str):
@@ -67,22 +67,6 @@ def _nesting(data) -> int:
     return depth
 
 
-def _load_state(path: str):
-    """Parse a state file into a ket or a square matrix; the kernel that reads it validates it."""
-    data = _load_json(path)
-    with _blame(path):
-        if _nesting(data) == 2:
-            return ket_from_json(data)
-        return matrix_from_json(data)
-
-
-def _density(state):
-    """The state as a matrix; a ket becomes its d×d projector, so check the
-    bases against the ket's length first. Overflow gives inf entries, which the kernel rejects."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return projector_from_ket(state) if state.ndim == 1 else state
-
-
 def _load_basis(source: str, dim: int):
     if source in ("Z", "X"):
         basis = named_basis(source)
@@ -90,14 +74,35 @@ def _load_basis(source: str, dim: int):
         data = _load_json(source)
         if not isinstance(data, list):
             raise InputFileError(f"{source}: basis file must be an array of kets")
+        kets = _complex_array(data, 2)
+        if kets is None:  # walk the kets only to word a rejection
+            kets = []
+            for i, k in enumerate(data):
+                with _blame(f"{source}: basis ket {i}"):
+                    kets.append(ket_from_json(k))
         with _blame(source):
-            kets = _complex_array(data, 2)  # walk the kets only to word a rejection
-            basis = basis_from_kets([ket_from_json(k) for k in data] if kets is None else kets)
+            basis = basis_from_kets(kets)
     if basis.dim != dim:
         raise InputFileError(
             f"{source}: basis dimension {basis.dim} does not match state dimension {dim}"
         )
     return basis
+
+
+def _run_on_state(path: str, sources, kernel):
+    """The bases named by sources, and kernel(rho, *bases) on the state file at path.
+
+    Each basis is loaded against the parsed state's length before a ket becomes
+    its d×d projector, so a ket too long for that projector to fit is rejected first.
+    """
+    data = _load_json(path)
+    with _blame(path):
+        state = ket_from_json(data) if _nesting(data) == 2 else matrix_from_json(data)
+    bases = [_load_basis(source, len(state)) for source in sources]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf entries
+        rho = projector_from_ket(state) if state.ndim == 1 else state
+    with _blame(path):  # the kernel is the one check of the state, and rejects inf
+        return bases, kernel(rho, *bases)
 
 
 def _emit(fmt_name: str, doc, rows, text) -> None:
@@ -271,10 +276,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    state = _load_state(args.state)
-    basis = _load_basis(args.basis, len(state))
-    with _blame(args.state):  # decompose is the one check of the state
-        terms = decompose(_density(state), basis)
+    (basis,), terms = _run_on_state(args.state, [args.basis], decompose)
 
     def doc():
         return {
@@ -315,11 +317,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_mh(args) -> int:
-    state = _load_state(args.state)
-    basis_a = _load_basis(args.basis_a, len(state))
-    basis_b = _load_basis(args.basis_b, len(state))
-    with _blame(args.state):  # mh_joint is the one check of the state
-        dist = mh_joint(_density(state), basis_a, basis_b)
+    (basis_a, basis_b), dist = _run_on_state(args.state, [args.basis_a, args.basis_b], mh_joint)
     labels_b = list(basis_b.labels)
 
     def doc():

@@ -16,6 +16,20 @@ Conventions:
 
 from __future__ import annotations
 
+__all__ = [
+    "ATOL",
+    "PauliExpansion",
+    "almost_equal",
+    "fix_global_phase",
+    "is_projector",
+    "pauli_expand",
+    "pauli_matrix",
+    "pauli_strings",
+    "pauli_synthesize",
+    "projector_from_ket",
+    "symmetric_product",
+]
+
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -26,6 +40,12 @@ import numpy as np
 # scenario is dyadic-rational arithmetic, exact in double precision up to a
 # handful of rounding steps.
 ATOL = 1e-12
+
+
+def _distance(a, b) -> float:
+    """max|a - b| over the entries: 0.0 for empty arrays, NaN if a difference is NaN."""
+    return float(np.abs(a - b).max(initial=0.0))
+
 
 PAULI_LETTERS = "IXYZ"
 
@@ -57,9 +77,7 @@ def almost_equal(a, b) -> bool:
     """Elementwise absolute comparison within ATOL; the package-wide notion of equality."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        return False
-    return bool(np.all(np.abs(a - b) <= ATOL))
+    return a.shape == b.shape and _distance(a, b) <= ATOL
 
 
 def pauli_strings(n: int):
@@ -135,9 +153,11 @@ def pauli_expand(m) -> PauliExpansion:
     The coefficient of string s is trace(pauli_matrix(s) @ m) / dim. For a
     Hermitian matrix every coefficient is real; an imaginary part above ATOL
     means the input is not Hermitian and raises. Coefficients of magnitude
-    at most ATOL are dropped from the map.
+    at most ATOL are dropped from the map, and a non-finite entry raises.
     """
     m = _square(m)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
     dim = m.shape[0]
     n = dim.bit_length() - 1
     if 2 ** n != dim:

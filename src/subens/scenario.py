@@ -13,6 +13,18 @@ Each call builds the arrays it reads once, and nothing is cached between calls.
 
 from __future__ import annotations
 
+__all__ = [
+    "ContributionTable",
+    "EtaBasis",
+    "ParadoxReport",
+    "ScenarioConsistencyError",
+    "contribution_table",
+    "eta_basis",
+    "eta_projector",
+    "outcome_probability",
+    "verify_paradox",
+]
+
 from dataclasses import dataclass
 from itertools import product
 

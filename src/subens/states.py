@@ -7,6 +7,13 @@ the four two-qubit product inputs written "00", "0+", "+0", "++".
 
 from __future__ import annotations
 
+__all__ = [
+    "ProductPreparation",
+    "preparation_density",
+    "product_input",
+    "standard_ket",
+]
+
 import math
 from dataclasses import dataclass
 

@@ -15,12 +15,28 @@ bases do not commute with the state.
 
 from __future__ import annotations
 
+__all__ = [
+    "JointQuasiDistribution",
+    "MeasurementBasis",
+    "SubensembleOperator",
+    "assignment_operator",
+    "basis_from_kets",
+    "decompose",
+    "mh_joint",
+    "named_basis",
+    "negativity",
+    "validate_density",
+    "x_basis",
+    "z_basis",
+]
+
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import (
     ATOL,
+    _distance,
     _square,
     is_projector,
     symmetric_product,
@@ -87,7 +103,7 @@ def _check_distance(defect: str, a: np.ndarray, b: np.ndarray) -> None:
     """Raise unless max|a - b| over the entries is within ATOL; the message
     is the defect, the distance and the tolerance. A NaN distance, from
     entries whose products overflow, is not within it."""
-    distance = float(np.abs(a - b).max())
+    distance = _distance(a, b)
     if not distance <= ATOL:
         raise ValueError(f"{defect} = {distance:.3g} exceeds tolerance {ATOL:g}")
 
@@ -235,10 +251,12 @@ def negativity(dist) -> float:
     """Total magnitude of the entries below -ATOL; zero for a true joint distribution.
 
     Entries in [-ATOL, 0) are rounding noise of a nonnegative table and count
-    as zero.
+    as zero. A non-finite entry raises.
     """
     if isinstance(dist, JointQuasiDistribution):
         q = dist.q
     else:
         q = np.asarray(dist, dtype=float)
+    if not np.isfinite(q).all():
+        raise ValueError("quasi-probability table has non-finite entries")
     return float(np.abs(q[q < -ATOL]).sum())

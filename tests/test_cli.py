@@ -321,6 +321,24 @@ class TestMalformedInputs:
         assert code == 3
         assert "orthonormal" in err
 
+    @pytest.mark.parametrize(
+        ("kets", "reason"),
+        [
+            (
+                [[[1, 0], [0, 0]], [[0, 0], "x"]],
+                "basis ket 1: ket amplitude 1: a complex number must be a [re, im] pair",
+            ),
+            ([1, 2], "basis ket 0: ket must be a non-empty array of amplitudes"),
+        ],
+        ids=["bad-amplitude", "number-for-a-ket"],
+    )
+    def test_basis_file_rejection_names_the_ket(self, capsys, zero_state, tmp_path, kets, reason):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(kets))
+        code, out, err = run(capsys, ["decompose", "--state", zero_state, "--basis", str(path)])
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {path}: {reason}\n"
 
     @pytest.mark.parametrize("which", ["state", "basis"])
     def test_non_finite_entries(self, capsys, zero_state, tmp_path, which):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,59 @@ def test_pauli_expand_rejects_bad_dimension():
 def test_pauli_expand_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         pauli_expand(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.full((2, 2), np.nan),
+        np.array([[np.inf, 0], [0, 1]]),
+        np.array([[1, complex(0, np.nan)], [0, 0]]),
+    ],
+    ids=["nan", "inf", "nan-imaginary-part"],
+)
+def test_pauli_expand_rejects_non_finite(m):
+    # NaN fails every comparison with ATOL, so unchecked it expanded to no terms
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            pauli_expand(m)
+    assert str(exc.value) == "matrix has non-finite entries"
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: list(pauli_strings(0)), "qubit count must be a positive integer"),
+        (lambda: pauli_matrix("Q"), "invalid Pauli string 'Q'"),
+        (lambda: PauliExpansion(n=0), "qubit count must be a positive integer"),
+        (
+            lambda: PauliExpansion(n=1, coeffs={"X": float("nan")}),
+            "coefficient of X is not finite",
+        ),
+        (lambda: pauli_expand(np.ones((2, 3))), "matrix must be a square matrix, got shape (2, 3)"),
+        (lambda: projector_from_ket(np.eye(2)), "ket must be a one-dimensional amplitude vector"),
+    ],
+    ids=[
+        "no-qubits",
+        "unknown-letter",
+        "expansion-of-no-qubits",
+        "nan-coefficient",
+        "non-square",
+        "ket-of-two-axes",
+    ],
+)
+def test_rejection_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_almost_equal_edge_cases():
+    # these shapes broadcast to a distance of 0, but they are different shapes
+    assert not almost_equal(np.zeros(2), np.zeros((2, 1)))
+    assert not almost_equal([np.nan], [np.nan])
+    assert almost_equal(np.empty(0), np.empty((0,)))
 
 
 def test_pauli_synthesize_single_qubit():

@@ -112,3 +112,20 @@ def test_non_finite_entry_is_named(a, data):
     if np.iscomplexobj(a):
         with pytest.raises(ValueError, match=message):
             fmt.complex_cells(a)
+
+
+def test_non_finite_scalar_cell_is_named():
+    with pytest.raises(ValueError) as exc:
+        fmt.csv_line(["a", 1, float("nan")])
+    assert str(exc.value) == "cannot serialize non-finite value nan"
+
+
+def test_object_without_json_form_is_refused():
+    with pytest.raises(TypeError) as exc:
+        fmt.dumps({"a": object()})
+    assert str(exc.value) == "cannot serialize object"
+
+
+def test_empty_object_and_list():
+    assert fmt.dumps({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}'
+    assert fmt.dumps({}) == "{}"

@@ -111,6 +111,38 @@ class TestEtaBasis:
         report = verify_paradox()
         assert not report.passed
 
+    @pytest.mark.parametrize(
+        ("tables", "message"),
+        [
+            (
+                {1: EXPECTED_EXPANSIONS[2], 2: EXPECTED_EXPANSIONS[1]},
+                "outcome 1 must exclude input 00, found 0+",
+            ),
+            ({2: EXPECTED_EXPANSIONS[1]}, "projectors do not sum to the identity"),
+            (
+                # the computational basis: |00> is excluded by no input
+                {
+                    i: {"II": 0.25, "IZ": 0.25 * b, "ZI": 0.25 * a, "ZZ": 0.25 * a * b}
+                    for i, (a, b) in zip((1, 2, 3, 4), ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+                },
+                "outcome 1 excludes 0 inputs instead of exactly one",
+            ),
+        ],
+        ids=["outcomes-1-2-swapped", "outcome-1-twice", "computational-basis"],
+    )
+    def test_measurement_defect_is_named(self, monkeypatch, tables, message):
+        for i, coeffs in tables.items():
+            monkeypatch.setitem(scenario.ETA_EXPANSIONS, i, coeffs)
+        with pytest.raises(ScenarioConsistencyError) as exc:
+            eta_basis()
+        assert str(exc.value) == message
+        (check,) = verify_paradox().checks
+        assert (check.name, check.passed, check.detail) == (
+            "measurement-construction",
+            False,
+            message,
+        )
+
 
 class TestOutcomeProbability:
     def test_examples(self):

@@ -6,6 +6,7 @@ import pytest
 
 from subens import (
     ATOL,
+    JointQuasiDistribution,
     MeasurementBasis,
     almost_equal,
     assignment_operator,
@@ -53,6 +54,16 @@ class TestMeasurementBasis:
     def test_rejects_wrong_count(self):
         with pytest.raises(ValueError, match="exactly"):
             MeasurementBasis(vectors=(standard_ket("0"),), labels=("0",))
+
+    def test_rejects_kets_of_different_lengths(self):
+        with pytest.raises(ValueError) as exc:
+            basis_from_kets([[1, 0], [0, 1, 0]])
+        assert str(exc.value) == "basis vectors must be kets of a common dimension"
+
+    def test_rejects_wrong_label_count(self):
+        with pytest.raises(ValueError) as exc:
+            basis_from_kets([standard_ket("0"), standard_ket("1")], labels=("0",))
+        assert str(exc.value) == "need one label per basis vector"
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="orthonormal"):
@@ -200,6 +211,11 @@ class TestAssignmentOperator:
         with pytest.raises(ValueError, match="orthogonal"):
             assignment_operator(PROJ_0, PROJ_1)
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError) as exc:
+            assignment_operator(PROJ_0, np.kron(PROJ_0, PROJ_PLUS))
+        assert str(exc.value) == "dimension mismatch: 2 vs 4"
+
     def test_rank_one_required(self):
         with pytest.raises(ValueError, match="rank-1"):
             assignment_operator(np.eye(2), PROJ_PLUS)
@@ -302,6 +318,21 @@ class TestNegativity:
         assert negativity([[0.25, -0.25], [-0.25, 0.75]]) == pytest.approx(
             0.5, abs=ATOL
         )
+
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            np.array([[np.nan, -0.5], [0.25, 0.25]]),
+            JointQuasiDistribution(q=[[np.inf, -0.5], [0.25, 0.25]]),
+        ],
+        ids=["array", "distribution"],
+    )
+    def test_rejects_non_finite(self, q):
+        # NaN is not below -ATOL, so unchecked this read 0.5
+        with pytest.raises(ValueError) as exc:
+            negativity(q)
+        assert str(exc.value) == "quasi-probability table has non-finite entries"
 
 
 class TestArrayHoldingValues:
