@@ -30,6 +30,7 @@ __all__ = [
     "symmetric_product",
 ]
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -147,13 +148,14 @@ class PauliExpansion:
         return 2 ** self.n
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads as a NaN or inf, rejected
 def pauli_expand(m) -> PauliExpansion:
     """Expand a Hermitian matrix over Pauli strings.
 
     The coefficient of string s is trace(pauli_matrix(s) @ m) / dim. For a
     Hermitian matrix every coefficient is real; an imaginary part above ATOL
     means the input is not Hermitian and raises. Coefficients of magnitude
-    at most ATOL are dropped from the map, and a non-finite entry raises.
+    at most ATOL are dropped from the map; a non-finite entry or coefficient raises.
     """
     m = _square(m)
     if not np.isfinite(m).all():
@@ -166,6 +168,8 @@ def pauli_expand(m) -> PauliExpansion:
     coeffs = {}
     for s in pauli_strings(n):
         c = complex(np.trace(pauli_matrix(s) @ m)) / dim
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient of {s} overflows a double")
         if abs(c.imag) > ATOL:
             raise ValueError(
                 f"matrix is not Hermitian: coefficient of {s} has imaginary part {c.imag!r}"
@@ -175,11 +179,15 @@ def pauli_expand(m) -> PauliExpansion:
     return PauliExpansion(n=n, coeffs=coeffs)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads as a NaN or inf, rejected
 def pauli_synthesize(e: PauliExpansion) -> np.ndarray:
     """Weighted sum of Pauli-string matrices; the zero matrix for an empty map."""
     out = np.zeros((e.dim, e.dim), dtype=complex)
     for s, c in e.coeffs.items():
         out += c * pauli_matrix(s)
+    if not np.isfinite(out).all():
+        s = max(e.coeffs, key=lambda s: abs(e.coeffs[s]))
+        raise ValueError(f"matrix overflows a double; its largest coefficient is that of {s}")
     return out
 
 

@@ -8,7 +8,8 @@ both qubits. The contribution tables computed here decompose each input into
 its four assignment-operator products and show how negative quasi-probability
 entries cancel the shared positive term wherever an outcome is excluded.
 
-Each call builds the arrays it reads once, and nothing is cached between calls.
+The projectors, Born matrix and contribution tensor are built once per content
+of the coefficient tables and shared read-only; each call checks them anew.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "verify_paradox",
 ]
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -82,22 +84,26 @@ class ScenarioConsistencyError(RuntimeError):
 
 
 def eta_projector(i: int) -> np.ndarray:
-    """Projector onto entangled measurement state i (1-based)."""
-    if i not in ETA_EXPANSIONS:
+    """Read-only projector onto entangled measurement state i (1-based), unchecked."""
+    if i not in OUTCOMES:
         raise ValueError(f"outcome index must be one of {OUTCOMES}, got {i!r}")
-    return pauli_synthesize(PauliExpansion(n=2, coeffs=ETA_EXPANSIONS[i]))
+    return _scenario()[1][OUTCOMES.index(i)]
 
 
-def _expansions() -> tuple:
-    """ETA_EXPANSIONS as Pauli expansions, in outcome order."""
-    return tuple(PauliExpansion(n=2, coeffs=ETA_EXPANSIONS[i]) for i in OUTCOMES)
+def _scenario() -> tuple:
+    """(expansions, projectors, born, contributions) of ETA_EXPANSIONS as it is now."""
+    return _build(tuple(tuple(ETA_EXPANSIONS[i].items()) for i in OUTCOMES))
 
 
-def _projectors(expansions: tuple) -> np.ndarray:
-    """Read-only (outcome, 4, 4) stack of the synthesized projectors, unchecked."""
+@functools.lru_cache(maxsize=1)
+def _build(tables: tuple) -> tuple:
+    """The read-only, unchecked scenario arrays of one content of the tables."""
+    expansions = tuple(PauliExpansion(n=2, coeffs=dict(t)) for t in tables)
     projectors = np.stack([pauli_synthesize(e) for e in expansions])
-    projectors.setflags(write=False)
-    return projectors
+    arrays = (projectors, _born(projectors), _contributions(projectors))
+    for a in arrays:
+        a.setflags(write=False)
+    return (expansions, *arrays)
 
 
 def _born(projectors: np.ndarray) -> np.ndarray:
@@ -181,9 +187,8 @@ def eta_basis() -> EtaBasis:
     rank-1 / orthogonality / completeness checks or do not produce the
     one-excluded-input-per-outcome pattern with outcome 1 excluding "00".
     """
-    expansions = _expansions()
-    projectors = _projectors(expansions)
-    excluded = _excluded_inputs(projectors, _born(projectors))
+    expansions, projectors, born, _ = _scenario()
+    excluded = _excluded_inputs(projectors, born)
     # each projector is rank-1, so its ket is the eigenvector of the top eigenvalue
     kets = []
     for v in np.linalg.eigh(projectors)[1][..., -1]:
@@ -233,7 +238,7 @@ def contribution_table(first: str, second: str) -> ContributionTable:
     """Contribution of each assignment-product sub-ensemble to each outcome."""
     if (first, second) not in INPUT_PAIRS:
         raise ValueError(f"unknown preparation labels {first!r}, {second!r}; expected 0 or +")
-    return _table(_contributions(_projectors(_expansions())), INPUT_PAIRS.index((first, second)))
+    return _table(_scenario()[3], INPUT_PAIRS.index((first, second)))
 
 
 def _table(contributions: np.ndarray, n: int) -> ContributionTable:
@@ -274,14 +279,12 @@ def verify_paradox() -> ParadoxReport:
     Never raises: a broken construction shows up as a failed check so that
     callers can render the report and map it to an exit status.
     """
-    projectors = _projectors(_expansions())
-    born = _born(projectors)
+    _, projectors, born, contributions = _scenario()
     try:
         excluded = _excluded_inputs(projectors, born)
     except ScenarioConsistencyError as exc:
         return ParadoxReport(checks=(CheckResult("measurement-construction", False, str(exc)),))
 
-    contributions = _contributions(projectors)
     inputs = np.arange(len(INPUT_PAIRS))
     outcomes = np.argsort(excluded)  # 0-based excluded outcome of each input
     excluded_born = born[outcomes, inputs]

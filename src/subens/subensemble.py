@@ -259,4 +259,8 @@ def negativity(dist) -> float:
         q = np.asarray(dist, dtype=float)
     if not np.isfinite(q).all():
         raise ValueError("quasi-probability table has non-finite entries")
-    return float(np.abs(q[q < -ATOL]).sum())
+    with np.errstate(over="ignore"):  # overflow reads as inf, rejected
+        total = np.abs(q[q < -ATOL]).sum()
+    if not np.isfinite(total):
+        raise ValueError("negativity overflows a double")
+    return float(total)

@@ -140,6 +140,26 @@ def test_pauli_expand_rejects_non_finite(m):
 @pytest.mark.parametrize(
     ("call", "message"),
     [
+        (lambda: pauli_expand(np.full((2, 2), 1e308)), "coefficient of I overflows a double"),
+        (
+            lambda: pauli_synthesize(PauliExpansion(n=1, coeffs={"I": 1e308, "Z": 1e308})),
+            "matrix overflows a double; its largest coefficient is that of I",
+        ),
+    ],
+    ids=["expand", "synthesize"],
+)
+def test_pauli_transform_overflow_is_rejected_without_warning(call, message):
+    # unchecked, the sums overflowed to inf with numpy's RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
         (lambda: list(pauli_strings(0)), "qubit count must be a positive integer"),
         (lambda: pauli_matrix("Q"), "invalid Pauli string 'Q'"),
         (lambda: PauliExpansion(n=0), "qubit count must be a positive integer"),

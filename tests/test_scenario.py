@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import subens.scenario as scenario
 from subens import (
     ATOL,
+    PauliExpansion,
     ScenarioConsistencyError,
     almost_equal,
     assignment_operator,
@@ -16,6 +18,7 @@ from subens import (
     negativity,
     outcome_probability,
     pauli_expand,
+    pauli_synthesize,
     preparation_density,
     product_input,
     projector_from_ket,
@@ -307,3 +310,99 @@ class TestVerifyParadox:
         assert main(["table", "--input", "00"]) == 0
         table = capsys.readouterr().out
         assert "".join("  " + line + "\n" for line in table.splitlines()) in text + "\n"
+
+
+def _arrays(value):
+    """Every numpy array reachable from value through dataclass fields and containers."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+    elif isinstance(value, (tuple, list, dict)):
+        for v in value.values() if isinstance(value, dict) else value:
+            yield from _arrays(v)
+
+
+def _results():
+    """Every result of the five entry points, arrays as their bytes."""
+    basis = eta_basis()
+    report = verify_paradox()
+    arrays = [
+        *basis.projectors,
+        *basis.kets,
+        *(eta_projector(i) for i in (1, 2, 3, 4)),
+        *(contribution_table(*pair).entries for pair in INPUTS),
+        *(t.entries for t in report.tables),
+    ]
+    probabilities = [outcome_probability(i, *pair) for i in (1, 2, 3, 4) for pair in INPUTS]
+    return (
+        [a.tobytes() for a in arrays],
+        np.array(probabilities + list(report.born_probabilities)).tobytes(),
+        basis.excluded_input,
+        [e.coeffs for e in basis.expansions],
+        [t.row_labels for t in report.tables],
+        report.checks,
+        report.excluded_outcomes,
+    )
+
+
+class TestBuiltOncePerTable:
+    """The scenario arrays are built once per content of ETA_EXPANSIONS."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        counts = {"pauli_synthesize": 0, "assignment_operator": 0}
+        for name in counts:
+
+            def counted(*args, _name=name, _fn=getattr(scenario, name)):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(scenario, name, counted)
+        return counts
+
+    def test_second_call_builds_nothing(self, monkeypatch):
+        verify_paradox()
+        counts = self._count_builds(monkeypatch)
+        verify_paradox()
+        assert counts == {"pauli_synthesize": 0, "assignment_operator": 0}
+
+    def test_rewritten_table_is_seen_by_every_entry_point(self, monkeypatch):
+        before = _results()
+        counts = self._count_builds(monkeypatch)
+        monkeypatch.setitem(scenario.ETA_EXPANSIONS[1], "ZZ", -0.5)
+        projector = pauli_synthesize(PauliExpansion(n=2, coeffs=scenario.ETA_EXPANSIONS[1]))
+
+        message = "outcome 1 coefficients do not synthesize a rank-1 projector"
+        with pytest.raises(ScenarioConsistencyError) as exc:
+            eta_basis()
+        assert str(exc.value) == message
+        (check,) = verify_paradox().checks
+        assert (check.passed, check.detail) == (False, message)
+        assert np.array_equal(eta_projector(1), projector)
+        assert outcome_probability(1, "0", "0") == -0.25
+        table = contribution_table("0", "0")
+
+        def assignment(component):  # "0+" -> R(0+)
+            z, x = (projector_from_ket(standard_ket(label)) for label in component)
+            return assignment_operator(z, x)
+
+        products = [np.kron(assignment(r[1:3]), assignment(r[4:6])) for r in table.row_labels]
+        assert almost_equal(table.entries[:, 0], [np.trace(projector @ r).real for r in products])
+        # one build served all five entry points
+        assert counts == {"pauli_synthesize": 4, "assignment_operator": 3}
+
+        monkeypatch.undo()
+        assert _results() == before
+
+    def test_results_hold_only_read_only_arrays(self):
+        results = [
+            eta_basis(),
+            verify_paradox(),
+            *(contribution_table(*pair) for pair in INPUTS),
+            *(eta_projector(i) for i in (1, 2, 3, 4)),
+        ]
+        arrays = list(_arrays(results))
+        assert len(arrays) == 8 + 4 + 4 + 4
+        assert [a.flags.writeable for a in arrays] == [False] * len(arrays)

@@ -334,6 +334,14 @@ class TestNegativity:
             negativity(q)
         assert str(exc.value) == "quasi-probability table has non-finite entries"
 
+    def test_overflowing_sum_is_rejected_without_warning(self):
+        # unchecked, this read inf with numpy's RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                negativity([-1.7e308, -1.7e308])
+        assert str(exc.value) == "negativity overflows a double"
+
 
 class TestArrayHoldingValues:
     @pytest.mark.parametrize(
