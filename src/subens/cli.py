@@ -1,21 +1,22 @@
 """Command-line interface exposing the library constructions as reports.
 
 Exit codes: 0 success, 1 invariant-verification failure, 2 usage error,
-3 malformed input file. Diagnostics go to stderr, data to stdout, and output
-is byte-deterministic for a fixed invocation and format.
+3 malformed input file, 141 stdout closed by its reader. Diagnostics go to
+stderr, data to stdout; output is byte-deterministic for a fixed invocation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
 
-from . import fmt
+from . import __version__, fmt
 from .operators import _complex_array, ket_from_json, matrix_from_json
 from .operators import pauli_strings, projector_from_ket
 from .scenario import (
@@ -347,6 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "four-outcome two-qubit exclusion scenario."
         ),
     )
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def command(name, func, help):
@@ -395,4 +397,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Exit with main's status, or with 141 (as for SIGPIPE) when stdout's reader has gone."""
+    try:
+        status = main()
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # the rest of the buffer goes nowhere, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)

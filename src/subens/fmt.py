@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import islice
+from types import MappingProxyType
 
 import numpy as np
 
@@ -78,7 +79,7 @@ def _emit(obj, out: list, indent: int) -> None:
     pad = "  " * indent
     if isinstance(obj, np.ndarray):
         out.append(_array_text(obj, indent))
-    elif isinstance(obj, dict):
+    elif isinstance(obj, (dict, MappingProxyType)):
         if not obj:
             out.append("{}")
             return

@@ -34,6 +34,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -120,11 +121,11 @@ class PauliExpansion:
 
     Coefficients are stored in serialization order regardless of the order
     they were supplied in, so iteration (and hence serialization) is
-    deterministic. Treat instances as immutable.
+    deterministic. ``coeffs`` is a read-only mapping.
     """
 
     n: int
-    coeffs: dict = field(default_factory=dict)
+    coeffs: MappingProxyType = field(default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
@@ -141,7 +142,7 @@ class PauliExpansion:
             checked[s] = c
         # I < X < Y < Z is also plain string order
         normalized = {s: checked[s] for s in sorted(checked)}
-        object.__setattr__(self, "coeffs", normalized)
+        object.__setattr__(self, "coeffs", MappingProxyType(normalized))
 
     @property
     def dim(self) -> int:

@@ -8,8 +8,9 @@ both qubits. The contribution tables computed here decompose each input into
 its four assignment-operator products and show how negative quasi-probability
 entries cancel the shared positive term wherever an outcome is excluded.
 
-The projectors, Born matrix and contribution tensor are built once per content
-of the coefficient tables and shared read-only; each call checks them anew.
+Everything is built and checked once per content of the coefficient tables:
+the projectors, the input densities, the construction check, the measurement,
+the report and the tables. Every call returns those shared, read-only values.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
 import functools
 from dataclasses import dataclass
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -87,29 +89,56 @@ def eta_projector(i: int) -> np.ndarray:
     """Read-only projector onto entangled measurement state i (1-based), unchecked."""
     if i not in OUTCOMES:
         raise ValueError(f"outcome index must be one of {OUTCOMES}, got {i!r}")
-    return _scenario()[1][OUTCOMES.index(i)]
+    return _scenario().projectors[OUTCOMES.index(i)]
 
 
-def _scenario() -> tuple:
-    """(expansions, projectors, born, contributions) of ETA_EXPANSIONS as it is now."""
+def _scenario() -> _Scenario:
+    """Every result of ETA_EXPANSIONS as it is now."""
     return _build(tuple(tuple(ETA_EXPANSIONS[i].items()) for i in OUTCOMES))
 
 
+@dataclass(frozen=True, eq=False)
+class _Scenario:
+    """One build: ``basis`` is None when the measurement failed its check."""
+
+    projectors: np.ndarray
+    densities: dict  # by input pair
+    tables: tuple
+    report: ParadoxReport
+    basis: EtaBasis | None
+
+
 @functools.lru_cache(maxsize=1)
-def _build(tables: tuple) -> tuple:
-    """The read-only, unchecked scenario arrays of one content of the tables."""
-    expansions = tuple(PauliExpansion(n=2, coeffs=dict(t)) for t in tables)
+def _build(coefficients: tuple) -> _Scenario:
+    """Every result of one content of the tables, checked once, its arrays read-only."""
+    expansions = tuple(PauliExpansion(n=2, coeffs=dict(t)) for t in coefficients)
     projectors = np.stack([pauli_synthesize(e) for e in expansions])
-    arrays = (projectors, _born(projectors), _contributions(projectors))
-    for a in arrays:
+    densities = {pair: product_input(*pair).density for pair in INPUT_PAIRS}
+    # (outcome, input) Born matrix over INPUT_PAIRS, never clamped
+    born = np.einsum("oij,nji->on", projectors, np.stack(list(densities.values()))).real
+    contributions = _contributions(projectors)
+    for a in (projectors, born, contributions):
         a.setflags(write=False)
-    return (expansions, *arrays)
-
-
-def _born(projectors: np.ndarray) -> np.ndarray:
-    """(outcome, input) Born matrix over INPUT_PAIRS, never clamped."""
-    rho = np.stack([product_input(*pair).density for pair in INPUT_PAIRS])
-    return np.einsum("oij,nji->on", projectors, rho).real
+    tables = tuple(
+        ContributionTable(*pair, labels, entries)
+        for pair, labels, entries in zip(INPUT_PAIRS, _ROW_LABELS, contributions)
+    )
+    try:
+        excluded = _excluded_inputs(projectors, born)
+    except ScenarioConsistencyError as exc:
+        report = ParadoxReport(checks=(CheckResult("measurement-construction", False, str(exc)),))
+        return _Scenario(projectors, densities, tables, report, None)
+    # each projector is rank-1, so its ket is the eigenvector of the top eigenvalue
+    kets = np.stack([fix_global_phase(v) for v in np.linalg.eigh(projectors)[1][..., -1]])
+    kets.setflags(write=False)
+    basis = EtaBasis(
+        projectors=tuple(projectors),
+        kets=tuple(kets),
+        excluded_input=MappingProxyType({i: INPUT_PAIRS[n] for i, n in zip(OUTCOMES, excluded)}),
+        expansions=expansions,
+    )
+    report = _report(born, contributions, tables, excluded)
+    return _Scenario(projectors, densities, tables, report, basis)
 
 
 def _contributions(projectors: np.ndarray) -> np.ndarray:
@@ -169,43 +198,35 @@ def _excluded_inputs(projectors: np.ndarray, born: np.ndarray) -> np.ndarray:
 class EtaBasis:
     """The verified four-outcome measurement.
 
-    ``excluded_input`` maps each outcome index to the preparation pair it
-    assigns zero probability. ``expansions`` are the Pauli coefficient tables
-    the projectors were synthesized from.
+    ``excluded_input`` is a read-only mapping of each outcome index to the
+    preparation pair it assigns zero probability. ``expansions`` are the
+    Pauli coefficient tables the projectors were synthesized from.
     """
 
     projectors: tuple
     kets: tuple
-    excluded_input: dict
+    excluded_input: MappingProxyType
     expansions: tuple
 
 
 def eta_basis() -> EtaBasis:
-    """Build the measurement from its coefficient tables and verify it.
+    """The measurement built from its coefficient tables, verified.
 
     Raises ScenarioConsistencyError if the stored coefficients fail the
     rank-1 / orthogonality / completeness checks or do not produce the
     one-excluded-input-per-outcome pattern with outcome 1 excluding "00".
     """
-    expansions, projectors, born, _ = _scenario()
-    excluded = _excluded_inputs(projectors, born)
-    # each projector is rank-1, so its ket is the eigenvector of the top eigenvalue
-    kets = []
-    for v in np.linalg.eigh(projectors)[1][..., -1]:
-        ket = fix_global_phase(v)
-        ket.setflags(write=False)
-        kets.append(ket)
-    return EtaBasis(
-        projectors=tuple(projectors),
-        kets=tuple(kets),
-        excluded_input={i: INPUT_PAIRS[n] for i, n in zip(OUTCOMES, excluded)},
-        expansions=expansions,
-    )
+    built = _scenario()
+    if built.basis is None:
+        raise ScenarioConsistencyError(built.report.checks[0].detail)
+    return built.basis
 
 
 def outcome_probability(i: int, first: str, second: str) -> float:
     """Born probability of outcome i for the product input, never clamped."""
-    rho = product_input(first, second).density
+    rho = _scenario().densities.get((first, second))
+    if rho is None:  # not an input pair: product_input raises, naming the bad label
+        rho = product_input(first, second).density
     return float(np.trace(eta_projector(i) @ rho).real)
 
 
@@ -238,13 +259,7 @@ def contribution_table(first: str, second: str) -> ContributionTable:
     """Contribution of each assignment-product sub-ensemble to each outcome."""
     if (first, second) not in INPUT_PAIRS:
         raise ValueError(f"unknown preparation labels {first!r}, {second!r}; expected 0 or +")
-    return _table(_scenario()[3], INPUT_PAIRS.index((first, second)))
-
-
-def _table(contributions: np.ndarray, n: int) -> ContributionTable:
-    """The table of input INPUT_PAIRS[n], read from the contribution tensor."""
-    first, second = INPUT_PAIRS[n]
-    return ContributionTable(first, second, _ROW_LABELS[n], contributions[n])
+    return _scenario().tables[INPUT_PAIRS.index((first, second))]
 
 
 @dataclass(frozen=True)
@@ -279,20 +294,17 @@ def verify_paradox() -> ParadoxReport:
     Never raises: a broken construction shows up as a failed check so that
     callers can render the report and map it to an exit status.
     """
-    _, projectors, born, contributions = _scenario()
-    try:
-        excluded = _excluded_inputs(projectors, born)
-    except ScenarioConsistencyError as exc:
-        return ParadoxReport(checks=(CheckResult("measurement-construction", False, str(exc)),))
+    return _scenario().report
 
+
+def _report(born, contributions, tables: tuple, excluded: np.ndarray) -> ParadoxReport:
+    """The checks of a measurement that passed construction, and its per-input results."""
     inputs = np.arange(len(INPUT_PAIRS))
     outcomes = np.argsort(excluded)  # 0-based excluded outcome of each input
     excluded_born = born[outcomes, inputs]
     at_excluded = contributions[inputs, :, outcomes]  # (input, row)
     common = "({0};{0})".format("".join(COMMON_COMPONENT))
-    exclusions = ", ".join(
-        f"{i}->{''.join(INPUT_PAIRS[n])}" for i, n in zip(OUTCOMES, excluded)
-    )
+    exclusions = ", ".join(f"{i}->{''.join(INPUT_PAIRS[n])}" for i, n in zip(OUTCOMES, excluded))
     checks = (
         CheckResult(
             "measurement-construction",
@@ -333,7 +345,7 @@ def verify_paradox() -> ParadoxReport:
 
     return ParadoxReport(
         checks=checks,
-        tables=tuple(_table(contributions, n) for n in range(len(INPUT_PAIRS))),
+        tables=tables,
         excluded_outcomes=tuple(OUTCOMES[o] for o in outcomes),
         born_probabilities=tuple(excluded_born.tolist()),
     )

@@ -30,6 +30,7 @@ __all__ = [
     "z_basis",
 ]
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,7 @@ class MeasurementBasis:
     ``matrix`` is the read-only d×d unitary V whose column f is the ket of
     outcome f; ``vectors`` yields those kets. ``labels`` names the outcomes
     for rendering and serialization. ``name`` is set for the built-in Z and X
-    bases and None for ad-hoc bases.
+    bases, which are built once per process, and None for ad-hoc bases.
     """
 
     matrix: np.ndarray
@@ -115,10 +116,12 @@ def basis_from_kets(kets, labels=None, name: str | None = None) -> MeasurementBa
     return MeasurementBasis(vectors=kets, labels=tuple(labels), name=name)
 
 
+@functools.cache
 def z_basis() -> MeasurementBasis:
     return basis_from_kets([standard_ket("0"), standard_ket("1")], labels=("0", "1"), name="Z")
 
 
+@functools.cache
 def x_basis() -> MeasurementBasis:
     return basis_from_kets([standard_ket("+"), standard_ket("-")], labels=("+", "-"), name="X")
 

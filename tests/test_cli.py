@@ -477,6 +477,44 @@ class TestValidation:
         assert len(calls) == 1
 
 
+class TestNamedBases:
+    def test_named_basis_is_built_once_per_process(self, capsys, monkeypatch, zero_state):
+        argv = ["decompose", "--state", zero_state, "--basis", "X"]
+        assert run(capsys, argv)[0] == 0
+        built = []
+        init = subensemble.MeasurementBasis.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(subensemble.MeasurementBasis, "__init__", counted)
+        assert run(capsys, argv)[0] == 0
+        assert built == []
+        assert subensemble.named_basis("X") is subensemble.x_basis()
+        assert subensemble.named_basis("Z") is subensemble.z_basis()
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_141_without_traceback(self, tmp_path):
+        # a d = 64 mh document is about 130 kB, more than a pipe holds
+        state, basis = tmp_path / "state.json", tmp_path / "basis.json"
+        state.write_text(json.dumps(matrix_to_json(np.eye(64) / 64)))
+        basis.write_text(json.dumps(matrix_to_json(np.eye(64))))
+        argv = ["mh", "--state", state, "--basis-a", basis, "--basis-b", basis, "--format", "json"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "subens", *map(str, argv)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(20)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in stderr
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -406,3 +406,67 @@ class TestBuiltOncePerTable:
         arrays = list(_arrays(results))
         assert len(arrays) == 8 + 4 + 4 + 4
         assert [a.flags.writeable for a in arrays] == [False] * len(arrays)
+
+
+# the 33 requests of one benchmark scenario cycle: eta, prob and table for the
+# four inputs, and verify twice, each in json, csv and pretty
+SCENARIO_COMMANDS = (
+    [["eta"]]
+    + [[command, "--input", a + b] for command in ("prob", "table") for a, b in INPUTS]
+    + [["verify"], ["verify"]]
+)
+SCENARIO_CYCLE = [
+    argv + ["--format", f] for argv in SCENARIO_COMMANDS for f in ("json", "csv", "pretty")
+]
+
+
+class TestServedFromOneBuild:
+    """Every scenario command is served from one checked build per table content."""
+
+    def test_second_cycle_recomputes_nothing(self, capsys, monkeypatch):
+        assert len(SCENARIO_CYCLE) == 33
+        assert [main(argv) for argv in SCENARIO_CYCLE] == [0] * 33
+        counts = {}
+        names = ("_excluded_inputs", "fix_global_phase", "product_input", "eta_projector")
+        targets = [(scenario, name) for name in names] + [(np.linalg, "eigh")]
+        for owner, name in targets:
+            counts[name] = 0
+
+            def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        assert [main(argv) for argv in SCENARIO_CYCLE] == [0] * 33
+        capsys.readouterr()
+        assert counts == {
+            "_excluded_inputs": 0,
+            "fix_global_phase": 0,
+            "product_input": 0,
+            "eta_projector": 48,  # one per outcome of each of the 12 prob requests
+            "eigh": 0,
+        }
+
+    def test_second_call_returns_the_same_result(self):
+        assert eta_basis() is eta_basis()
+        assert verify_paradox() is verify_paradox()
+        for n, pair in enumerate(INPUTS):
+            assert contribution_table(*pair) is contribution_table(*pair)
+            assert verify_paradox().tables[n] is contribution_table(*pair)
+
+    def test_shared_maps_are_read_only(self, capsys):
+        assert main(["eta", "--format", "csv"]) == 0
+        before = capsys.readouterr().out
+        basis = eta_basis()
+        with pytest.raises(TypeError):
+            basis.expansions[0].coeffs["II"] = 0.75
+        with pytest.raises(TypeError):
+            basis.excluded_input[1] = ("+", "+")
+        assert main(["eta", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == before
+
+    def test_bad_labels_keep_their_messages(self):
+        with pytest.raises(ValueError, match="^unknown preparation label '1'; expected 0 or \\+$"):
+            outcome_probability(1, "0", "1")
+        with pytest.raises(ValueError, match="^outcome index must be one of"):
+            outcome_probability(5, "0", "0")
