@@ -163,8 +163,8 @@ def pauli_expand(m) -> PauliExpansion:
         raise ValueError("matrix has non-finite entries")
     dim = m.shape[0]
     n = dim.bit_length() - 1
-    if 2 ** n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
+    if dim < 2 or 2 ** n != dim:
+        raise ValueError(f"dimension {dim} is not a power of two of at least 2")
 
     coeffs = {}
     for s in pauli_strings(n):
@@ -201,10 +201,10 @@ def projector_from_ket(ket) -> np.ndarray:
 def fix_global_phase(ket) -> np.ndarray:
     """Rotate a ket so its first amplitude of magnitude > ATOL is real positive."""
     k = _ket(ket).copy()
-    for amp in k:
-        if abs(amp) > ATOL:
-            k *= abs(amp) / amp
-            break
+    # np.hypot rounds as abs() of one amplitude does; np.abs of a whole array may not
+    nonzero = np.flatnonzero(np.hypot(k.real, k.imag) > ATOL)
+    if nonzero.size:
+        k *= abs(k[nonzero[0]]) / k[nonzero[0]]
     return k
 
 

@@ -29,7 +29,7 @@ __all__ = [
 
 import functools
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from types import MappingProxyType
 
 import numpy as np
@@ -60,20 +60,13 @@ ETA_EXPANSIONS = {
     4: {"II": 0.25, "XX": -0.25, "YY": 0.25, "ZZ": 0.25},
 }
 
-# Assignment-operator components whose equal mixture reconstitutes each
-# preparation: rho("0") = (R(0+) + R(0-))/2 and rho("+") = (R(0+) + R(1+))/2.
-ASSIGNMENT_COMPONENTS = {
-    "0": (("0", "+"), ("0", "-")),
-    "+": (("0", "+"), ("1", "+")),
-}
-
-COMMON_COMPONENT = ("0", "+")
-
-# The distinct components above (z label, then x label) and each preparation's
-# two components as indices into them. Row (s;t) of a contribution table is
-# the Kronecker product of the assignment operators of components s and t.
+# The distinct assignment-operator components (z label, then x label) and
+# each preparation's two as indices into them: rho("0") = (R(0+) + R(0-))/2
+# and rho("+") = (R(0+) + R(1+))/2. Row (s;t) of a contribution table is the
+# Kronecker product of the assignment operators of components s and t. Both
+# preparations list (0+) first, so row 0 of every table is the shared (0+;0+).
 _COMPONENTS = ("0+", "0-", "1+")
-_PARTS = {p: [_COMPONENTS.index(z + x) for z, x in cs] for p, cs in ASSIGNMENT_COMPONENTS.items()}
+_PARTS = {"0": (0, 1), "+": (0, 2)}
 # (input, row) -> the row's two components, in INPUT_PAIRS order
 _ROW_FACTORS = np.array([list(product(_PARTS[a], _PARTS[b])) for a, b in INPUT_PAIRS])
 _ROW_LABELS = tuple(
@@ -117,11 +110,12 @@ def _build(coefficients: tuple) -> _Scenario:
     # (outcome, input) Born matrix over INPUT_PAIRS, never clamped
     born = np.einsum("oij,nji->on", projectors, np.stack(list(densities.values()))).real
     contributions = _contributions(projectors)
+    negative = contributions < -ATOL
     for a in (projectors, born, contributions):
         a.setflags(write=False)
     tables = tuple(
-        ContributionTable(*pair, labels, entries)
-        for pair, labels, entries in zip(INPUT_PAIRS, _ROW_LABELS, contributions)
+        ContributionTable(*pair, labels, entries, tuple(tuple(compress(OUTCOMES, r)) for r in mask))
+        for pair, labels, entries, mask in zip(INPUT_PAIRS, _ROW_LABELS, contributions, negative)
     )
     try:
         excluded = _excluded_inputs(projectors, born)
@@ -137,7 +131,7 @@ def _build(coefficients: tuple) -> _Scenario:
         excluded_input=MappingProxyType({i: INPUT_PAIRS[n] for i, n in zip(OUTCOMES, excluded)}),
         expansions=expansions,
     )
-    report = _report(born, contributions, tables, excluded)
+    report = _report(born, contributions, negative, tables, excluded)
     return _Scenario(projectors, densities, tables, report, basis)
 
 
@@ -243,16 +237,11 @@ class ContributionTable:
     second: str
     row_labels: tuple
     entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+    negatives: tuple
 
     def negative_outcomes(self) -> tuple:
-        """Per row, the outcomes (1-based) whose entry is below -ATOL."""
-        rows = self.entries.tolist()
-        return tuple(tuple(i for i, v in zip(OUTCOMES, row) if v < -ATOL) for row in rows)
+        """Per row, the outcomes (1-based) whose entry is below -ATOL, found once per build."""
+        return self.negatives
 
 
 def contribution_table(first: str, second: str) -> ContributionTable:
@@ -297,13 +286,11 @@ def verify_paradox() -> ParadoxReport:
     return _scenario().report
 
 
-def _report(born, contributions, tables: tuple, excluded: np.ndarray) -> ParadoxReport:
+def _report(born, contributions, negative, tables: tuple, excluded: np.ndarray) -> ParadoxReport:
     """The checks of a measurement that passed construction, and its per-input results."""
     inputs = np.arange(len(INPUT_PAIRS))
     outcomes = np.argsort(excluded)  # 0-based excluded outcome of each input
     excluded_born = born[outcomes, inputs]
-    at_excluded = contributions[inputs, :, outcomes]  # (input, row)
-    common = "({0};{0})".format("".join(COMMON_COMPONENT))
     exclusions = ", ".join(f"{i}->{''.join(INPUT_PAIRS[n])}" for i, n in zip(OUTCOMES, excluded))
     checks = (
         CheckResult(
@@ -328,8 +315,8 @@ def _report(born, contributions, tables: tuple, excluded: np.ndarray) -> Paradox
         ),
         CheckResult(
             "common-subensemble-flat",
-            almost_equal(contributions[np.array(_ROW_LABELS) == common], np.full((4, 4), 0.25)),
-            f"row {common} contributes 1/4 to every outcome for all inputs",
+            almost_equal(contributions[:, 0], np.full((4, 4), 0.25)),
+            f"row {_ROW_LABELS[0][0]} contributes 1/4 to every outcome for all inputs",
         ),
         CheckResult(
             "born-consistency",
@@ -338,7 +325,7 @@ def _report(born, contributions, tables: tuple, excluded: np.ndarray) -> Paradox
         ),
         CheckResult(
             "negative-cancellation",
-            bool(np.all((at_excluded < -ATOL).any(axis=1))),
+            bool(negative[inputs, :, outcomes].any(axis=1).all()),
             "each excluded outcome receives negative sub-ensemble contributions",
         ),
     )

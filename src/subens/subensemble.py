@@ -54,8 +54,8 @@ class MeasurementBasis:
     """Complete orthonormal set of rank-1 measurement outcomes.
 
     ``matrix`` is the read-only d×d unitary V whose column f is the ket of
-    outcome f; ``vectors`` yields those kets. ``labels`` names the outcomes
-    for rendering and serialization. ``name`` is set for the built-in Z and X
+    outcome f; ``vectors`` yields those kets. ``labels`` names the outcomes,
+    "0" to "d-1" unless given. ``name`` is set for the built-in Z and X
     bases, which are built once per process, and None for ad-hoc bases.
     """
 
@@ -64,7 +64,7 @@ class MeasurementBasis:
     name: str | None = None
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow reads as a NaN or inf, rejected
-    def __init__(self, vectors, labels, name: str | None = None):
+    def __init__(self, vectors, labels=None, name: str | None = None):
         kets = [np.asarray(v, dtype=complex) for v in vectors]
         if not kets:
             raise ValueError("basis must contain at least one vector")
@@ -82,7 +82,7 @@ class MeasurementBasis:
         vh = v.conj().T
         _check_distance("basis vectors are not orthonormal: max|V^H V - I|", vh @ v, np.eye(dim))
         _check_distance("basis is not complete: max|V V^H - I|", v @ vh, np.eye(dim))
-        labels = tuple(str(s) for s in labels)
+        labels = tuple(str(s) for s in (range(dim) if labels is None else labels))
         if len(labels) != dim:
             raise ValueError("need one label per basis vector")
         v.setflags(write=False)
@@ -110,15 +110,12 @@ def _check_distance(defect: str, a: np.ndarray, b: np.ndarray) -> None:
 
 
 def basis_from_kets(kets, labels=None, name: str | None = None) -> MeasurementBasis:
-    kets = tuple(kets)
-    if labels is None:
-        labels = tuple(str(i) for i in range(len(kets)))
-    return MeasurementBasis(vectors=kets, labels=tuple(labels), name=name)
+    return MeasurementBasis(vectors=kets, labels=labels, name=name)
 
 
 @functools.cache
 def z_basis() -> MeasurementBasis:
-    return basis_from_kets([standard_ket("0"), standard_ket("1")], labels=("0", "1"), name="Z")
+    return basis_from_kets([standard_ket("0"), standard_ket("1")], name="Z")
 
 
 @functools.cache
@@ -143,9 +140,7 @@ def validate_density(rho, dim: int | None = None) -> np.ndarray:
     if dim is not None and rho.shape[0] != dim:
         raise ValueError(f"density matrix has dimension {rho.shape[0]}, expected {dim}")
     _check_distance("density matrix is not Hermitian: max|rho - rho^H|", rho, rho.conj().T)
-    trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > ATOL:
-        raise ValueError(f"density matrix trace {trace} is not 1")
+    _check_distance("density matrix trace is not 1: |tr rho - 1|", np.trace(rho), 1.0)
     lowest = float(np.linalg.eigvalsh(rho)[0])
     if not np.isfinite(lowest):
         raise ValueError(f"density matrix overflows the eigensolver: lowest eigenvalue {lowest}")

@@ -1,11 +1,12 @@
-"""Shared random-object generators for the property tests, the JSON form of
-a matrix for state files, and per-entry reference renderers."""
+"""Shared random-object generators for the property tests, a per-amplitude
+reference of fix_global_phase, the JSON form of a matrix for state files, and
+per-entry reference renderers."""
 
 import math
 
 import numpy as np
 
-from subens import basis_from_kets
+from subens import ATOL, basis_from_kets
 
 
 def random_hermitian(rng, dim):
@@ -28,6 +29,17 @@ def random_unitary(rng, dim):
 def random_basis(rng, dim):
     q = random_unitary(rng, dim)
     return basis_from_kets([q[:, k] for k in range(dim)])
+
+
+def reference_fix_global_phase(ket):
+    """fix_global_phase written as a loop over the amplitudes: the first one
+    of magnitude above ATOL is turned real positive, with the whole ket."""
+    k = np.array(ket, dtype=complex)
+    for amp in k:
+        if abs(amp) > ATOL:
+            k *= abs(amp) / amp
+            break
+    return k
 
 
 def matrix_to_json(m):

@@ -260,7 +260,10 @@ class TestMalformedInputs:
         path.write_text(json.dumps(matrix_to_json(np.eye(2))))
         code, _, err = run(capsys, ["decompose", "--state", str(path), "--basis", "Z"])
         assert code == 3
-        assert err == f"error: {path}: density matrix trace (2+0j) is not 1\n"
+        assert err == (
+            f"error: {path}: density matrix trace is not 1: "
+            "|tr rho - 1| = 1 exceeds tolerance 1e-12\n"
+        )
 
     def test_bad_basis_is_reported_before_bad_state(self, capsys, tmp_path):
         # the state is checked by the kernel, which runs once both files are loaded

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subens import (
     ATOL,
@@ -21,7 +23,7 @@ from subens.operators import (
     projector_from_ket,
 )
 
-from helpers import random_hermitian
+from helpers import random_hermitian, reference_fix_global_phase
 
 I2 = pauli_matrix("I")
 X = pauli_matrix("X")
@@ -112,6 +114,13 @@ def test_pauli_expand_entangled_projector():
 def test_pauli_expand_rejects_bad_dimension():
     with pytest.raises(ValueError, match="power of two"):
         pauli_expand(np.eye(3))
+
+
+def test_pauli_expand_rejects_one_by_one_matrix():
+    # 1 = 2**0 is a power of two, but of no qubit count
+    with pytest.raises(ValueError) as exc:
+        pauli_expand(np.eye(1))
+    assert str(exc.value) == "dimension 1 is not a power of two of at least 2"
 
 
 def test_pauli_expand_rejects_non_hermitian():
@@ -241,6 +250,27 @@ def test_fix_global_phase():
     fixed = fix_global_phase(k)
     assert fixed[1].real > 0 and abs(fixed[1].imag) <= ATOL
     assert almost_equal(projector_from_ket(fixed), projector_from_ket(k))
+
+
+@st.composite
+def kets_with_small_lead(draw):
+    """Kets whose leading amplitudes are 0 or within a factor 2 of ATOL."""
+    small = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=2 * ATOL, allow_nan=False))
+    rest = st.complex_numbers(max_magnitude=1e6, allow_nan=False)
+    amps = draw(st.lists(small, max_size=4)) + draw(st.lists(rest, max_size=4))
+    return np.array(amps or [0j], dtype=complex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kets_with_small_lead())
+@example(np.zeros(3, dtype=complex))
+# |a| rounds to just above ATOL in numpy's vectorized abs on some CPUs, not in abs(a)
+@example(np.array([complex(-8.41620980565793e-13, 5.400686299642604e-13), 1j]))
+def test_fix_global_phase_matches_per_amplitude_loop(ket):
+    fixed = fix_global_phase(ket)
+    reference = reference_fix_global_phase(ket)
+    assert fixed.dtype == reference.dtype and fixed.shape == reference.shape
+    assert fixed.tobytes() == reference.tobytes()
 
 
 def test_matrix_json_round_trip():

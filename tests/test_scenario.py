@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subens.scenario as scenario
 from subens import (
@@ -26,6 +28,8 @@ from subens import (
     verify_paradox,
 )
 from subens.cli import main
+
+from helpers import random_unitary
 
 SQRT_HALF = np.sqrt(0.5)
 
@@ -211,6 +215,12 @@ class TestContributionTable:
         table = contribution_table("0", "0")
         assert negativity(table.entries) == pytest.approx(1.0, abs=ATOL)
         assert negativity(table.entries[1]) == pytest.approx(0.5, abs=ATOL)
+
+    def test_negative_outcomes_are_found_once_per_build(self):
+        for pair in INPUTS:
+            table = contribution_table(*pair)
+            assert table.negative_outcomes() is table.negative_outcomes()
+        assert contribution_table("0", "0").negative_outcomes() == ((), (1, 3), (1, 2), ())
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="unknown preparation"):
@@ -470,3 +480,40 @@ class TestServedFromOneBuild:
             outcome_probability(1, "0", "1")
         with pytest.raises(ValueError, match="^outcome index must be one of"):
             outcome_probability(5, "0", "0")
+
+
+@st.composite
+def haar_measurements(draw):
+    """The (outcome, 4, 4) projector stack of a Haar-random two-qubit basis."""
+    u = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 4)
+    return np.einsum("io,jo->oij", u, u.conj())
+
+
+def _born(projectors):
+    """(outcome, input) Born probabilities, one trace per entry."""
+    densities = [product_input(*pair).density for pair in INPUTS]
+    return np.array([[np.trace(p @ rho).real for rho in densities] for p in projectors])
+
+
+class TestTableIdentitiesOverRandomMeasurements:
+    """The table identities hold for every complete rank-1 four-outcome
+    measurement, not only for eta; a random one excludes no input."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(haar_measurements())
+    def test_rows_sum_to_one(self, projectors):
+        rows = scenario._contributions(projectors).sum(axis=2)
+        assert np.abs(rows - 1.0).max() <= ATOL
+
+    @settings(max_examples=100, deadline=None)
+    @given(haar_measurements())
+    def test_quarter_column_sums_are_the_born_matrix(self, projectors):
+        quarter_sums = scenario._contributions(projectors).sum(axis=1) / 4.0
+        assert np.abs(quarter_sums - _born(projectors).T).max() <= ATOL
+
+    @settings(max_examples=100, deadline=None)
+    @given(haar_measurements())
+    def test_construction_check_finds_no_excluded_input(self, projectors):
+        with pytest.raises(ScenarioConsistencyError) as exc:
+            scenario._excluded_inputs(projectors, _born(projectors))
+        assert str(exc.value) == "outcome 1 excludes 0 inputs instead of exactly one"

@@ -47,6 +47,10 @@ class TestMeasurementBasis:
         with pytest.raises(ValueError, match="unknown basis"):
             named_basis("Y")
 
+    def test_labels_default_to_outcome_numbers(self):
+        basis = MeasurementBasis(vectors=[standard_ket("0"), standard_ket("1")])
+        assert basis.labels == ("0", "1")
+
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError, match="orthonormal"):
             basis_from_kets([standard_ket("0"), standard_ket("+")])
