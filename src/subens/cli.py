@@ -133,8 +133,7 @@ def _table_text(table) -> str:
 
 def _negative_rows(table, outcome: int) -> list:
     """Labels of the rows whose entry at the outcome is negative."""
-    negatives = table.negative_outcomes()
-    return [label for label, neg in zip(table.row_labels, negatives) if outcome in neg]
+    return [label for label, neg in zip(table.row_labels, table.negatives) if outcome in neg]
 
 
 def _expansion_text(expansion) -> str:
@@ -238,7 +237,7 @@ def _cmd_verify(args) -> int:
                     "rows": [
                         {"label": row, "entries": entries, "negatives": negatives}
                         for row, entries, negatives in zip(
-                            table.row_labels, table.entries, table.negative_outcomes()
+                            table.row_labels, table.entries, table.negatives
                         )
                     ],
                 }
@@ -284,30 +283,30 @@ def _cmd_decompose(args) -> int:
             "basis": _basis_doc(basis),
             "terms": [
                 {
-                    "outcome": t.outcome_index,
-                    "label": basis.labels[t.outcome_index],
+                    "outcome": f,
+                    "label": basis.labels[f],
                     "weight": t.weight,
                     "operator": t.operator,
                 }
-                for t in terms
+                for f, t in enumerate(terms)
             ],
         }
 
     def rows():
         cells = [f"r{i}c{j}" for i in range(basis.dim) for j in range(basis.dim)]
         out = [["outcome", "label", "weight"] + [f"{c}_{p}" for c in cells for p in ("re", "im")]]
-        for t in terms:
+        for f, t in enumerate(terms):
             # a complex array viewed as floats interleaves re and im
             parts = t.operator.ravel().view(float)
-            out.append([t.outcome_index, basis.labels[t.outcome_index], t.weight, parts])
+            out.append([f, basis.labels[f], t.weight, parts])
         return out
 
     def text():
         name = basis.name or "custom"
         lines = [f"sub-ensemble decomposition over basis {name} (dim {basis.dim})"]
-        for t in terms:
+        for f, t in enumerate(terms):
             lines.append(
-                f"outcome {t.outcome_index} ({basis.labels[t.outcome_index]}): "
+                f"outcome {f} ({basis.labels[f]}): "
                 f"weight {fmt.format_float(t.weight, fmt.PRETTY_DIGITS)}"
             )
             lines += _matrix_lines(t.operator)

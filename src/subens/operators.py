@@ -68,10 +68,10 @@ def _square(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _ket(v, name: str = "ket") -> np.ndarray:
+def _ket(v) -> np.ndarray:
     a = np.asarray(v, dtype=complex)
     if a.ndim != 1 or a.shape[0] < 1:
-        raise ValueError(f"{name} must be a one-dimensional amplitude vector")
+        raise ValueError("ket must be a one-dimensional amplitude vector")
     return a
 
 
@@ -144,10 +144,6 @@ class PauliExpansion:
         normalized = {s: checked[s] for s in sorted(checked)}
         object.__setattr__(self, "coeffs", MappingProxyType(normalized))
 
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n
-
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads as a NaN or inf, rejected
 def pauli_expand(m) -> PauliExpansion:
@@ -183,7 +179,7 @@ def pauli_expand(m) -> PauliExpansion:
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads as a NaN or inf, rejected
 def pauli_synthesize(e: PauliExpansion) -> np.ndarray:
     """Weighted sum of Pauli-string matrices; the zero matrix for an empty map."""
-    out = np.zeros((e.dim, e.dim), dtype=complex)
+    out = np.zeros((2 ** e.n, 2 ** e.n), dtype=complex)
     for s, c in e.coeffs.items():
         out += c * pauli_matrix(s)
     if not np.isfinite(out).all():

@@ -126,8 +126,8 @@ def _build(coefficients: tuple) -> _Scenario:
     kets = np.stack([fix_global_phase(v) for v in np.linalg.eigh(projectors)[1][..., -1]])
     kets.setflags(write=False)
     basis = EtaBasis(
-        projectors=tuple(projectors),
-        kets=tuple(kets),
+        projectors=projectors,
+        kets=kets,
         excluded_input=MappingProxyType({i: INPUT_PAIRS[n] for i, n in zip(OUTCOMES, excluded)}),
         expansions=expansions,
     )
@@ -161,7 +161,7 @@ def _excluded_inputs(projectors: np.ndarray, born: np.ndarray) -> np.ndarray:
     input's excluded outcome.
     """
     for i, p in zip(OUTCOMES, projectors):
-        if not is_projector(p) or abs(np.trace(p).real - 1.0) > ATOL:
+        if not is_projector(p) or not almost_equal(np.trace(p), 1.0):
             raise ScenarioConsistencyError(
                 f"outcome {i} coefficients do not synthesize a rank-1 projector"
             )
@@ -192,13 +192,13 @@ def _excluded_inputs(projectors: np.ndarray, born: np.ndarray) -> np.ndarray:
 class EtaBasis:
     """The verified four-outcome measurement.
 
-    ``excluded_input`` is a read-only mapping of each outcome index to the
-    preparation pair it assigns zero probability. ``expansions`` are the
-    Pauli coefficient tables the projectors were synthesized from.
+    ``projectors`` and ``kets`` stack one projector and one ket per outcome.
+    ``excluded_input`` maps each outcome index to the input it excludes, and
+    ``expansions`` are the Pauli coefficient tables of the projectors.
     """
 
-    projectors: tuple
-    kets: tuple
+    projectors: np.ndarray
+    kets: np.ndarray
     excluded_input: MappingProxyType
     expansions: tuple
 
@@ -231,6 +231,7 @@ class ContributionTable:
     Row r is the assignment product R_s x R_t (trace 1 each), column i the
     measurement outcome; entries are tr(P_i (R_s x R_t)). Rows sum to 1, and
     a quarter of each column sum is the Born probability of that outcome.
+    ``negatives`` gives, per row, the outcomes (1-based) whose entry is below -ATOL.
     """
 
     first: str
@@ -238,10 +239,6 @@ class ContributionTable:
     row_labels: tuple
     entries: np.ndarray
     negatives: tuple
-
-    def negative_outcomes(self) -> tuple:
-        """Per row, the outcomes (1-based) whose entry is below -ATOL, found once per build."""
-        return self.negatives
 
 
 def contribution_table(first: str, second: str) -> ContributionTable:

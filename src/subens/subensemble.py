@@ -39,6 +39,7 @@ from .operators import (
     ATOL,
     _distance,
     _square,
+    almost_equal,
     is_projector,
     symmetric_product,
 )
@@ -151,11 +152,10 @@ def validate_density(rho, dim: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SubensembleOperator:
-    """One decomposition term: Hermitian, trace equal to the outcome probability."""
+    """Term f of ``decompose``: Hermitian, trace equal to the probability of outcome f."""
 
     operator: np.ndarray
     weight: float
-    outcome_index: int
 
 
 def decompose(rho, basis: MeasurementBasis) -> list[SubensembleOperator]:
@@ -176,7 +176,7 @@ def decompose(rho, basis: MeasurementBasis) -> list[SubensembleOperator]:
         a = u[:, f, None] * vc[:, f]
         op = 0.5 * (a + a.conj().T)
         op.setflags(write=False)
-        terms.append(SubensembleOperator(operator=op, weight=float(weights[f]), outcome_index=f))
+        terms.append(SubensembleOperator(operator=op, weight=float(weights[f])))
     return terms
 
 
@@ -193,7 +193,7 @@ def assignment_operator(pa, pb) -> np.ndarray:
     if pa.shape != pb.shape:
         raise ValueError(f"dimension mismatch: {pa.shape[0]} vs {pb.shape[0]}")
     for name, p in (("pa", pa), ("pb", pb)):
-        if not is_projector(p) or abs(np.trace(p) - 1.0) > ATOL:
+        if not is_projector(p) or not almost_equal(np.trace(p), 1.0):
             raise ValueError(f"{name} is not a rank-1 projector")
     sym = symmetric_product(pa, pb)
     overlap = float(np.trace(sym).real)

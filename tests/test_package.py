@@ -1,5 +1,6 @@
 """The package's public names: each module lists its own, and ``subens``
-republishes them. The version is written once in each of two files."""
+republishes them. The version is written once in each of two files, and the
+README's library example runs."""
 
 import re
 from pathlib import Path
@@ -27,3 +28,12 @@ def test_version_agrees_with_pyproject(capsys):
     assert subens.__version__ == version
     assert main(["--version"]) == 0
     assert capsys.readouterr().out == version + "\n"
+
+
+def test_readme_library_example_runs():
+    # the python block under "## Library", so a renamed member fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = re.search(r"\n## Library\n\n```python\n(.*?)\n```\n", readme, re.DOTALL)
+    # blank lines first, so a traceback gives the line numbers of README.md
+    source = "\n" * readme.count("\n", 0, example.start(1)) + example.group(1)
+    exec(compile(source, "README.md", "exec"), {})

@@ -107,6 +107,22 @@ class TestEtaBasis:
             born = np.trace(basis.projectors[i - 1] @ product_input(*pair).density).real
             assert abs(born) <= ATOL
 
+    def test_stacks_are_the_build_arrays(self):
+        basis = eta_basis()
+        assert basis.projectors is scenario._scenario().projectors
+        assert basis.kets.shape == (4, 4)
+
+    def test_rank_one_check_reads_the_complex_trace(self):
+        # trace 1 + 2e-12j: Hermitian and idempotent within ATOL, trace not 1
+        projectors = scenario._scenario().projectors.copy()
+        projectors[0] = projectors[0] + 0.5e-12j * np.eye(4)
+        with pytest.raises(ScenarioConsistencyError) as exc:
+            scenario._excluded_inputs(projectors, _born(projectors))
+        assert str(exc.value) == "outcome 1 coefficients do not synthesize a rank-1 projector"
+        with pytest.raises(ValueError) as exc:
+            assignment_operator(projectors[0], projectors[1])
+        assert str(exc.value) == "pa is not a rank-1 projector"
+
     @pytest.mark.parametrize(
         ("string", "i"), [(s, i) for i, coeffs in scenario.ETA_EXPANSIONS.items() for s in coeffs]
     )
@@ -219,8 +235,8 @@ class TestContributionTable:
     def test_negative_outcomes_are_found_once_per_build(self):
         for pair in INPUTS:
             table = contribution_table(*pair)
-            assert table.negative_outcomes() is table.negative_outcomes()
-        assert contribution_table("0", "0").negative_outcomes() == ((), (1, 3), (1, 2), ())
+            assert table.negatives is contribution_table(*pair).negatives
+        assert contribution_table("0", "0").negatives == ((), (1, 3), (1, 2), ())
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="unknown preparation"):
@@ -279,7 +295,7 @@ class TestVerifyParadox:
         assert report.born_probabilities[0] == pytest.approx(0.0, abs=ATOL)
         assert np.allclose(table.entries, EXPECTED_TABLE_00, atol=ATOL, rtol=0)
         # rows (0+;0-) and (0-;0+) are negative at outcome 1, and also at 3 and 2
-        assert table.negative_outcomes() == ((), (1, 3), (1, 2), ())
+        assert table.negatives == ((), (1, 3), (1, 2), ())
 
     def test_every_input_covered(self):
         report = verify_paradox()
@@ -289,8 +305,8 @@ class TestVerifyParadox:
             report.tables, report.excluded_outcomes, report.born_probabilities
         ):
             assert born <= ATOL
-            assert sum(outcome in neg for neg in table.negative_outcomes()) == 2
-            assert table.negative_outcomes()[0] == ()  # the shared (0+;0+) row
+            assert sum(outcome in neg for neg in table.negatives) == 2
+            assert table.negatives[0] == ()  # the shared (0+;0+) row
 
     def test_failed_construction_has_no_inputs(self, monkeypatch):
         monkeypatch.setitem(scenario.ETA_EXPANSIONS[1], "XX", 0.26)
@@ -414,7 +430,7 @@ class TestBuiltOncePerTable:
             *(eta_projector(i) for i in (1, 2, 3, 4)),
         ]
         arrays = list(_arrays(results))
-        assert len(arrays) == 8 + 4 + 4 + 4
+        assert len(arrays) == 2 + 4 + 4 + 4
         assert [a.flags.writeable for a in arrays] == [False] * len(arrays)
 
 
