@@ -155,7 +155,7 @@ def _matrix_lines(m) -> list:
     return ["  " + "  ".join(cells[i : i + m.shape[1]]) for i in range(0, len(cells), m.shape[1])]
 
 
-def _cmd_eta(args) -> int:
+def _cmd_eta(args) -> None:
     basis = eta_basis()
     excluded = {str(i): "".join(basis.excluded_input[i]) for i in OUTCOMES}
     strings = list(pauli_strings(2))
@@ -182,10 +182,9 @@ def _cmd_eta(args) -> int:
         return out
 
     _emit(args.format, doc, rows, text)
-    return 0
 
 
-def _cmd_prob(args) -> int:
+def _cmd_prob(args) -> None:
     first, second = args.input  # argparse has checked it against INPUT_CHOICES
     probs = [outcome_probability(i, first, second) for i in OUTCOMES]
 
@@ -199,10 +198,9 @@ def _cmd_prob(args) -> int:
         return "\n".join(lines)
 
     _emit(args.format, lambda: {"input": args.input, "probabilities": probs}, rows, text)
-    return 0
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> None:
     table = contribution_table(*args.input)
 
     def doc():
@@ -215,10 +213,9 @@ def _cmd_table(args) -> int:
 
     # the csv is the bare grid of entries, with neither header nor row labels
     _emit(args.format, doc, lambda: [[row] for row in table.entries], lambda: _table_text(table))
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> None:
     report = verify_paradox()
     # empty when the measurement failed construction
     inputs = list(
@@ -270,12 +267,10 @@ def _cmd_verify(args) -> int:
     _emit(args.format, doc, rows, text)
     if not report.passed:
         failed = [c.name for c in report.checks if not c.passed]
-        print(f"error: verification failed: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+        raise ScenarioConsistencyError(f"verification failed: {', '.join(failed)}")
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> None:
     (basis,), terms = _run_on_state(args.state, [args.basis], decompose)
 
     def doc():
@@ -313,10 +308,9 @@ def _cmd_decompose(args) -> int:
         return "\n".join(lines)
 
     _emit(args.format, doc, rows, text)
-    return 0
 
 
-def _cmd_mh(args) -> int:
+def _cmd_mh(args) -> None:
     (basis_a, basis_b), dist = _run_on_state(args.state, [args.basis_a, args.basis_b], mh_joint)
     labels_b = list(basis_b.labels)
 
@@ -336,7 +330,6 @@ def _cmd_mh(args) -> int:
         return title + "\n" + fmt.render_table(["q(a,b)"] + labels_b, rows())
 
     _emit(args.format, doc, lambda: [[""] + labels_b] + rows(), text)
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -386,13 +379,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
-    except InputFileError as exc:
+        args.func(args)
+    except (InputFileError, ScenarioConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ScenarioConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, InputFileError) else 1
+    return 0
 
 
 def entry() -> None:

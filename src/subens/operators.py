@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -43,22 +44,30 @@ import numpy as np
 # handful of rounding steps.
 ATOL = 1e-12
 
+# Eigenvalue slack when validating density matrices; looser than ATOL to
+# absorb accumulation in small dense eigensolves.
+POSITIVITY_ATOL = 1e-10
+
 
 def _distance(a, b) -> float:
     """max|a - b| over the entries: 0.0 for empty arrays, NaN if a difference is NaN."""
     return float(np.abs(a - b).max(initial=0.0))
 
 
+def _check_distance(defect: str, a: np.ndarray, b: np.ndarray) -> None:
+    """Raise unless max|a - b| over the entries is within ATOL; the message
+    is the defect, the distance and the tolerance. A NaN distance, from
+    entries whose products overflow, is not within it."""
+    distance = _distance(a, b)
+    if not distance <= ATOL:
+        raise ValueError(f"{defect} = {distance:.3g} exceeds tolerance {ATOL:g}")
+
+
 PAULI_LETTERS = "IXYZ"
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-for _m in _PAULI_1Q.values():
-    _m.setflags(write=False)
+# I, X, Y and Z stacked in PAULI_LETTERS order, read-only
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI.setflags(write=False)
 
 
 def _square(m, name: str = "matrix") -> np.ndarray:
@@ -92,12 +101,9 @@ def pauli_strings(n: int):
 
 def pauli_matrix(letters: str) -> np.ndarray:
     """Matrix of a Pauli string; letter 0 is the leftmost tensor factor."""
-    if not letters or any(c not in _PAULI_1Q for c in letters):
+    if not letters or not set(letters) <= set(PAULI_LETTERS):
         raise ValueError(f"invalid Pauli string {letters!r}")
-    m = _PAULI_1Q[letters[0]]
-    for c in letters[1:]:
-        m = np.kron(m, _PAULI_1Q[c])
-    return m
+    return functools.reduce(np.kron, (_PAULI[PAULI_LETTERS.index(c)] for c in letters))
 
 
 def symmetric_product(a, b) -> np.ndarray:
@@ -113,6 +119,11 @@ def is_projector(m) -> bool:
     """True iff m is Hermitian and idempotent within ATOL."""
     m = _square(m)
     return almost_equal(m, m.conj().T) and almost_equal(m @ m, m)
+
+
+def _is_rank_one_projector(p) -> bool:
+    """True iff p is a projector of complex trace 1 within ATOL."""
+    return is_projector(p) and almost_equal(np.trace(p), 1.0)
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,9 @@ import numpy as np
 from .operators import (
     ATOL,
     PauliExpansion,
+    _is_rank_one_projector,
     almost_equal,
     fix_global_phase,
-    is_projector,
     pauli_synthesize,
     projector_from_ket,
 )
@@ -161,7 +161,7 @@ def _excluded_inputs(projectors: np.ndarray, born: np.ndarray) -> np.ndarray:
     input's excluded outcome.
     """
     for i, p in zip(OUTCOMES, projectors):
-        if not is_projector(p) or not almost_equal(np.trace(p), 1.0):
+        if not _is_rank_one_projector(p):
             raise ScenarioConsistencyError(
                 f"outcome {i} coefficients do not synthesize a rank-1 projector"
             )

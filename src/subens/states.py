@@ -19,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import pauli_matrix
+from .operators import _PAULI
 
-_I = pauli_matrix("I")
-_X = pauli_matrix("X")
-_Z = pauli_matrix("Z")
+_I, _X, _, _Z = _PAULI
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _KET_AMPLITUDES = {

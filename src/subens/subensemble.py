@@ -37,17 +37,13 @@ import numpy as np
 
 from .operators import (
     ATOL,
-    _distance,
+    POSITIVITY_ATOL,
+    _check_distance,
+    _is_rank_one_projector,
     _square,
-    almost_equal,
-    is_projector,
     symmetric_product,
 )
 from .states import standard_ket
-
-# Eigenvalue slack when validating density matrices; looser than ATOL to
-# absorb accumulation in small dense eigensolves.
-POSITIVITY_ATOL = 1e-10
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -101,15 +97,6 @@ class MeasurementBasis:
         return tuple(self.matrix.T)
 
 
-def _check_distance(defect: str, a: np.ndarray, b: np.ndarray) -> None:
-    """Raise unless max|a - b| over the entries is within ATOL; the message
-    is the defect, the distance and the tolerance. A NaN distance, from
-    entries whose products overflow, is not within it."""
-    distance = _distance(a, b)
-    if not distance <= ATOL:
-        raise ValueError(f"{defect} = {distance:.3g} exceeds tolerance {ATOL:g}")
-
-
 def basis_from_kets(kets, labels=None, name: str | None = None) -> MeasurementBasis:
     return MeasurementBasis(vectors=kets, labels=labels, name=name)
 
@@ -146,7 +133,9 @@ def validate_density(rho, dim: int | None = None) -> np.ndarray:
     if not np.isfinite(lowest):
         raise ValueError(f"density matrix overflows the eigensolver: lowest eigenvalue {lowest}")
     if lowest < -POSITIVITY_ATOL:
-        raise ValueError(f"density matrix has negative eigenvalue {lowest}")
+        raise ValueError(
+            f"density matrix has negative eigenvalue {lowest} beyond tolerance {POSITIVITY_ATOL:g}"
+        )
     return rho
 
 
@@ -193,7 +182,7 @@ def assignment_operator(pa, pb) -> np.ndarray:
     if pa.shape != pb.shape:
         raise ValueError(f"dimension mismatch: {pa.shape[0]} vs {pb.shape[0]}")
     for name, p in (("pa", pa), ("pb", pb)):
-        if not is_projector(p) or not almost_equal(np.trace(p), 1.0):
+        if not _is_rank_one_projector(p):
             raise ValueError(f"{name} is not a rank-1 projector")
     sym = symmetric_product(pa, pb)
     overlap = float(np.trace(sym).real)

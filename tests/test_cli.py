@@ -159,6 +159,27 @@ class TestVerify:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_failed_verify_prints_its_report_and_one_error_line(self, capsys, monkeypatch, fmt):
+        monkeypatch.setitem(scenario.ETA_EXPANSIONS[1], "XX", 0.26)
+        code, out, err = run(capsys, ["verify", "--format", fmt])
+        detail = "outcome 1 coefficients do not synthesize a rank-1 projector"
+        check = {"name": "measurement-construction", "passed": False, "detail": detail}
+        report = {
+            "json": json.dumps({"passed": False, "checks": [check], "inputs": []}, indent=2) + "\n",
+            "csv": "input,excluded_outcome,born_probability,negative_rows\n",
+            "pretty": f"scenario verification: FAIL\n  [FAIL] measurement-construction: {detail}\n",
+        }
+        assert code == 1
+        assert out == report[fmt]
+        assert err == "error: verification failed: measurement-construction\n"
+
+    def test_failed_construction_stops_eta_with_its_reason(self, capsys, monkeypatch):
+        monkeypatch.setitem(scenario.ETA_EXPANSIONS[1], "XX", 0.26)
+        code, out, err = run(capsys, ["eta"])
+        assert (code, out) == (1, "")
+        assert err == "error: outcome 1 coefficients do not synthesize a rank-1 projector\n"
+
 
 class TestDecompose:
     def test_named_z_basis(self, capsys, zero_state):

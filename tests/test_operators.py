@@ -171,6 +171,10 @@ def test_pauli_transform_overflow_is_rejected_without_warning(call, message):
     [
         (lambda: list(pauli_strings(0)), "qubit count must be a positive integer"),
         (lambda: pauli_matrix("Q"), "invalid Pauli string 'Q'"),
+        (lambda: pauli_matrix(""), "invalid Pauli string ''"),
+        # items of a list are whole letters, not substrings of "IXYZ"
+        (lambda: pauli_matrix(["XY"]), "invalid Pauli string ['XY']"),
+        (lambda: pauli_matrix(["X", ""]), "invalid Pauli string ['X', '']"),
         (lambda: PauliExpansion(n=0), "qubit count must be a positive integer"),
         (
             lambda: PauliExpansion(n=1, coeffs={"X": float("nan")}),
@@ -182,6 +186,9 @@ def test_pauli_transform_overflow_is_rejected_without_warning(call, message):
     ids=[
         "no-qubits",
         "unknown-letter",
+        "no-letters",
+        "two-letter-item",
+        "empty-item",
         "expansion-of-no-qubits",
         "nan-coefficient",
         "non-square",
@@ -192,6 +199,27 @@ def test_rejection_messages(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_pauli_matrix_accepts_a_list_of_letters():
+    assert np.array_equal(pauli_matrix(["X", "Z"]), pauli_matrix("XZ"))
+
+
+def test_one_letter_pauli_matrix_is_a_read_only_view_of_the_stack():
+    from subens.operators import _PAULI
+
+    textbook = [
+        np.eye(2, dtype=complex),
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    ]
+    assert _PAULI.shape == (4, 2, 2) and not _PAULI.flags.writeable
+    for i, (letter, expected) in enumerate(zip("IXYZ", textbook)):
+        m = pauli_matrix(letter)
+        assert m.base is _PAULI and np.shares_memory(m, _PAULI[i])
+        assert not m.flags.writeable
+        assert m.tobytes() == expected.tobytes()  # the same bits, signed zeros included
 
 
 def test_almost_equal_edge_cases():

@@ -129,6 +129,13 @@ class TestValidateDensity:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             validate_density(np.diag([1.5, -0.5]))
 
+    def test_negative_eigenvalue_message_names_the_tolerance(self):
+        with pytest.raises(ValueError) as exc:
+            validate_density(np.diag([1.5, -0.5]))
+        assert str(exc.value) == (
+            "density matrix has negative eigenvalue -0.5 beyond tolerance 1e-10"
+        )
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)])
     def test_rejects_non_finite(self, bad):
         rho = np.array([[bad, 0.0], [0.0, 0.5]], dtype=complex)
