@@ -185,6 +185,7 @@ def _cmd_eta(args) -> None:
 
 
 def _cmd_prob(args) -> None:
+    eta_basis()  # the checked measurement: raises if it failed construction
     first, second = args.input  # argparse has checked it against INPUT_CHOICES
     probs = [outcome_probability(i, first, second) for i in OUTCOMES]
 
@@ -201,6 +202,7 @@ def _cmd_prob(args) -> None:
 
 
 def _cmd_table(args) -> None:
+    eta_basis()  # the checked measurement: raises if it failed construction
     table = contribution_table(*args.input)
 
     def doc():

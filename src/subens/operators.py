@@ -68,6 +68,8 @@ PAULI_LETTERS = "IXYZ"
 # I, X, Y and Z stacked in PAULI_LETTERS order, read-only
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _PAULI.setflags(write=False)
+# a Pauli string's index in serialization order is its letters read as base-4 digits
+_DIGITS = str.maketrans(PAULI_LETTERS, "0123")
 
 
 def _square(m, name: str = "matrix") -> np.ndarray:
@@ -189,10 +191,16 @@ def pauli_expand(m) -> PauliExpansion:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads as a NaN or inf, rejected
 def pauli_synthesize(e: PauliExpansion) -> np.ndarray:
-    """Weighted sum of Pauli-string matrices; the zero matrix for an empty map."""
-    out = np.zeros((2 ** e.n, 2 ** e.n), dtype=complex)
+    """Weighted sum of Pauli-string matrices; the zero matrix for an empty map.
+
+    One contraction of the Pauli stack per qubit, O(n 4^n) for n qubits."""
+    t = np.zeros(4 ** e.n)
     for s, c in e.coeffs.items():
-        out += c * pauli_matrix(s)
+        t[int(s.translate(_DIGITS), 4)] = c
+    t = t.reshape((4,) * e.n)
+    for _ in range(e.n):  # each contraction appends its qubit's (row, column) axes
+        t = np.tensordot(t, _PAULI, axes=(0, 0))
+    out = t.transpose(*range(0, 2 * e.n, 2), *range(1, 2 * e.n, 2)).reshape(2 ** e.n, -1)
     if not np.isfinite(out).all():
         s = max(e.coeffs, key=lambda s: abs(e.coeffs[s]))
         raise ValueError(f"matrix overflows a double; its largest coefficient is that of {s}")

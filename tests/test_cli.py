@@ -174,9 +174,17 @@ class TestVerify:
         assert out == report[fmt]
         assert err == "error: verification failed: measurement-construction\n"
 
-    def test_failed_construction_stops_eta_with_its_reason(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [["eta"], ["prob", "--input", "00"], ["table", "--input", "00"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_failed_construction_stops_each_command_with_its_reason(
+        self, capsys, monkeypatch, argv
+    ):
+        # outcome_probability and contribution_table do not check the measurement; the commands do
         monkeypatch.setitem(scenario.ETA_EXPANSIONS[1], "XX", 0.26)
-        code, out, err = run(capsys, ["eta"])
+        code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
         assert err == "error: outcome 1 coefficients do not synthesize a rank-1 projector\n"
 

@@ -154,8 +154,12 @@ def test_pauli_expand_rejects_non_finite(m):
             lambda: pauli_synthesize(PauliExpansion(n=1, coeffs={"I": 1e308, "Z": 1e308})),
             "matrix overflows a double; its largest coefficient is that of I",
         ),
+        (
+            lambda: pauli_synthesize(PauliExpansion(n=2, coeffs={"II": 1e308, "ZZ": 1e308})),
+            "matrix overflows a double; its largest coefficient is that of II",
+        ),
     ],
-    ids=["expand", "synthesize"],
+    ids=["expand", "synthesize", "synthesize-two-qubits"],
 )
 def test_pauli_transform_overflow_is_rejected_without_warning(call, message):
     # unchecked, the sums overflowed to inf with numpy's RuntimeWarning
@@ -236,6 +240,7 @@ def test_pauli_synthesize_single_qubit():
 
 def test_pauli_synthesize_empty_is_zero():
     assert almost_equal(pauli_synthesize(PauliExpansion(n=2)), np.zeros((4, 4)))
+    assert np.array_equal(pauli_synthesize(PauliExpansion(n=3)), np.zeros((8, 8)))
 
 
 def test_pauli_synthesize_matches_measurement_projector():
@@ -243,6 +248,58 @@ def test_pauli_synthesize_matches_measurement_projector():
 
     e = PauliExpansion(n=2, coeffs={"II": 0.25, "XZ": 0.25, "ZX": -0.25, "YY": -0.25})
     assert almost_equal(pauli_synthesize(e), eta_projector(2))
+
+
+def reference_synthesize(e):
+    """The sum of c_s * pauli_matrix(s) over the map, one Kronecker product per string."""
+    out = np.zeros((2 ** e.n, 2 ** e.n), dtype=complex)
+    for s, c in e.coeffs.items():
+        out += c * pauli_matrix(s)
+    return out
+
+
+@st.composite
+def expansions(draw):
+    """A map at 1 to 5 qubits: a few strings of any size, or every string, seeded."""
+    n = draw(st.integers(1, 5))
+    strings = list(pauli_strings(n))
+    if draw(st.booleans()):
+        coefficients = st.floats(-1e6, 1e6)
+        coeffs = draw(st.dictionaries(st.sampled_from(strings), coefficients, max_size=6))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scale = 10.0 ** draw(st.integers(-6, 6))
+        coeffs = dict(zip(strings, scale * rng.standard_normal(len(strings))))
+    return PauliExpansion(n=n, coeffs=coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(expansions())
+def test_pauli_synthesize_matches_the_per_string_sum(e):
+    m = pauli_synthesize(e)
+    assert m.dtype == complex and m.shape == (2 ** e.n, 2 ** e.n)
+    scale = sum(abs(c) for c in e.coeffs.values())
+    assert np.abs(m - reference_synthesize(e)).max() <= 1e-14 * scale
+
+
+def test_scenario_projectors_are_the_per_string_sum_bit_for_bit():
+    from subens.scenario import ETA_EXPANSIONS, OUTCOMES, eta_projector
+
+    for i in OUTCOMES:
+        p = eta_projector(i)
+        reference = reference_synthesize(PauliExpansion(n=2, coeffs=ETA_EXPANSIONS[i]))
+        assert np.array_equal(p, reference)  # array_equal reads -0.0 as 0.0, so compare signs too
+        assert np.array_equal(np.signbit(p.real), np.signbit(reference.real))
+        assert np.array_equal(np.signbit(p.imag), np.signbit(reference.imag))
+
+
+def test_pauli_synthesize_one_string_at_eight_qubits():
+    # a dense map at 8 qubits would take the per-string reference minutes
+    rng = np.random.default_rng(8)
+    for letters in rng.choice(list("IXYZ"), size=(3, 8)):
+        s = "".join(letters)
+        m = pauli_synthesize(PauliExpansion(n=8, coeffs={s: 1.0}))
+        assert np.array_equal(m, pauli_matrix(s))
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
