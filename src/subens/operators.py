@@ -49,6 +49,7 @@ ATOL = 1e-12
 POSITIVITY_ATOL = 1e-10
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads as inf or NaN, not within
 def _distance(a, b) -> float:
     """max|a - b| over the entries: 0.0 for empty arrays, NaN if a difference is NaN."""
     return float(np.abs(a - b).max(initial=0.0))
@@ -117,6 +118,7 @@ def symmetric_product(a, b) -> np.ndarray:
     return 0.5 * (a @ b + b @ a)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing m @ m is not m
 def is_projector(m) -> bool:
     """True iff m is Hermitian and idempotent within ATOL."""
     m = _square(m)
@@ -128,7 +130,7 @@ def _is_rank_one_projector(p) -> bool:
     return is_projector(p) and almost_equal(np.trace(p), 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliExpansion:
     """Real coefficient map over the length-n Pauli strings.
 

@@ -9,8 +9,8 @@ its four assignment-operator products and show how negative quasi-probability
 entries cancel the shared positive term wherever an outcome is excluded.
 
 Everything is built and checked once per content of the coefficient tables:
-the projectors, the input densities, the construction check, the measurement,
-the report and the tables. Every call returns those shared, read-only values.
+the projectors, the construction check, the measurement, the report and the
+tables, shared and read-only; each input density is cached by product_input.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ class _Scenario:
     """One build: ``basis`` is None when the measurement failed its check."""
 
     projectors: np.ndarray
-    densities: dict  # by input pair
     tables: tuple
     report: ParadoxReport
     basis: EtaBasis | None
@@ -106,9 +105,9 @@ def _build(coefficients: tuple) -> _Scenario:
     """Every result of one content of the tables, checked once, its arrays read-only."""
     expansions = tuple(PauliExpansion(n=2, coeffs=dict(t)) for t in coefficients)
     projectors = np.stack([pauli_synthesize(e) for e in expansions])
-    densities = {pair: product_input(*pair).density for pair in INPUT_PAIRS}
+    densities = np.stack([product_input(*pair).density for pair in INPUT_PAIRS])
     # (outcome, input) Born matrix over INPUT_PAIRS, never clamped
-    born = np.einsum("oij,nji->on", projectors, np.stack(list(densities.values()))).real
+    born = np.einsum("oij,nji->on", projectors, densities).real
     contributions = _contributions(projectors)
     negative = contributions < -ATOL
     for a in (projectors, born, contributions):
@@ -121,7 +120,7 @@ def _build(coefficients: tuple) -> _Scenario:
         excluded = _excluded_inputs(projectors, born)
     except ScenarioConsistencyError as exc:
         report = ParadoxReport(checks=(CheckResult("measurement-construction", False, str(exc)),))
-        return _Scenario(projectors, densities, tables, report, None)
+        return _Scenario(projectors, tables, report, None)
     # each projector is rank-1, so its ket is the eigenvector of the top eigenvalue
     kets = np.stack([fix_global_phase(v) for v in np.linalg.eigh(projectors)[1][..., -1]])
     kets.setflags(write=False)
@@ -132,7 +131,7 @@ def _build(coefficients: tuple) -> _Scenario:
         expansions=expansions,
     )
     report = _report(born, contributions, negative, tables, excluded)
-    return _Scenario(projectors, densities, tables, report, basis)
+    return _Scenario(projectors, tables, report, basis)
 
 
 def _contributions(projectors: np.ndarray) -> np.ndarray:
@@ -218,9 +217,7 @@ def eta_basis() -> EtaBasis:
 
 def outcome_probability(i: int, first: str, second: str) -> float:
     """Born probability of outcome i for the product input, never clamped."""
-    rho = _scenario().densities.get((first, second))
-    if rho is None:  # not an input pair: product_input raises, naming the bad label
-        rho = product_input(first, second).density
+    rho = product_input(first, second).density  # first, so a bad label wins over a bad i
     return float(np.trace(eta_projector(i) @ rho).real)
 
 

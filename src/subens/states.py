@@ -14,6 +14,7 @@ __all__ = [
     "standard_ket",
 ]
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,6 +65,7 @@ class ProductPreparation:
     density: np.ndarray
 
 
+@functools.cache  # a bad label raises before anything is cached
 def product_input(first: str, second: str) -> ProductPreparation:
     rho = np.kron(preparation_density(first), preparation_density(second))
     rho.setflags(write=False)

@@ -9,6 +9,7 @@ from subens import (
     ATOL,
     PauliExpansion,
     almost_equal,
+    assignment_operator,
     is_projector,
     pauli_expand,
     pauli_matrix,
@@ -158,8 +159,12 @@ def test_pauli_expand_rejects_non_finite(m):
             lambda: pauli_synthesize(PauliExpansion(n=2, coeffs={"II": 1e308, "ZZ": 1e308})),
             "matrix overflows a double; its largest coefficient is that of II",
         ),
+        (
+            lambda: pauli_expand(np.array([[0, 1e308], [1e308, 0]])),
+            "coefficient of X overflows a double",
+        ),
     ],
-    ids=["expand", "synthesize", "synthesize-two-qubits"],
+    ids=["expand", "synthesize", "synthesize-two-qubits", "expand-off-diagonal"],
 )
 def test_pauli_transform_overflow_is_rejected_without_warning(call, message):
     # unchecked, the sums overflowed to inf with numpy's RuntimeWarning
@@ -168,6 +173,32 @@ def test_pauli_transform_overflow_is_rejected_without_warning(call, message):
         with pytest.raises(ValueError) as exc:
             call()
     assert str(exc.value) == message
+
+
+_BIG = np.full((2, 2), 1e308 + 0j)
+
+
+def _raised(call):
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    ("call", "result"),
+    [
+        (lambda: almost_equal(_BIG, -_BIG), False),
+        (lambda: is_projector(_BIG), False),
+        (lambda: _raised(lambda: assignment_operator(_BIG, _BIG)), "pa is not a rank-1 projector"),
+    ],
+    ids=["almost-equal", "is-projector", "assignment-operator"],
+)
+def test_checks_reject_overflow_without_warning(call, result):
+    # the differences and m @ m overflowed to inf with numpy's RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert call() == result
 
 
 @pytest.mark.parametrize(
@@ -186,6 +217,11 @@ def test_pauli_transform_overflow_is_rejected_without_warning(call, message):
         ),
         (lambda: pauli_expand(np.ones((2, 3))), "matrix must be a square matrix, got shape (2, 3)"),
         (lambda: projector_from_ket(np.eye(2)), "ket must be a one-dimensional amplitude vector"),
+        # the first string in serialization order past ATOL, not the largest (Y, 0.5)
+        (
+            lambda: pauli_expand(np.array([[0.1j, 1], [0, 0]])),
+            "matrix is not Hermitian: coefficient of I has imaginary part 0.05",
+        ),
     ],
     ids=[
         "no-qubits",
@@ -197,6 +233,7 @@ def test_pauli_transform_overflow_is_rejected_without_warning(call, message):
         "nan-coefficient",
         "non-square",
         "ket-of-two-axes",
+        "first-non-hermitian-coefficient",
     ],
 )
 def test_rejection_messages(call, message):

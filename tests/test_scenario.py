@@ -453,8 +453,9 @@ class TestServedFromOneBuild:
         assert len(SCENARIO_CYCLE) == 33
         assert [main(argv) for argv in SCENARIO_CYCLE] == [0] * 33
         counts = {}
-        names = ("_excluded_inputs", "fix_global_phase", "product_input", "eta_projector")
-        targets = [(scenario, name) for name in names] + [(np.linalg, "eigh")]
+        names = ("_excluded_inputs", "fix_global_phase", "eta_projector")
+        # product_input is a cached look-up; np.kron counts the densities built
+        targets = [(scenario, name) for name in names] + [(np.linalg, "eigh"), (np, "kron")]
         for owner, name in targets:
             counts[name] = 0
 
@@ -468,9 +469,9 @@ class TestServedFromOneBuild:
         assert counts == {
             "_excluded_inputs": 0,
             "fix_global_phase": 0,
-            "product_input": 0,
             "eta_projector": 48,  # one per outcome of each of the 12 prob requests
             "eigh": 0,
+            "kron": 0,
         }
 
     def test_second_call_returns_the_same_result(self):

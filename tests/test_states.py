@@ -66,3 +66,12 @@ def test_product_inputs_are_rank_one():
             assert abs(np.trace(rho) - 1.0) <= ATOL
             vals = np.linalg.eigvalsh(rho)
             assert np.allclose(sorted(vals), [0, 0, 0, 1], atol=1e-12)
+
+
+def test_product_input_is_built_once_per_pair():
+    prep = product_input("0", "+")
+    assert product_input("0", "+") is prep
+    assert not prep.density.flags.writeable
+    for _ in range(2):  # a bad label is never cached: it raises on every call
+        with pytest.raises(ValueError, match="^unknown preparation label '1'; expected 0 or \\+$"):
+            product_input("0", "1")

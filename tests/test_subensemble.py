@@ -17,6 +17,7 @@ from subens import (
     mh_joint,
     named_basis,
     negativity,
+    pauli_expand,
     pauli_matrix,
     product_input,
     projector_from_ket,
@@ -364,6 +365,7 @@ class TestArrayHoldingValues:
             eta_basis,
             lambda: contribution_table("0", "0"),
             lambda: product_input("0", "0"),
+            lambda: pauli_expand(pauli_matrix("XZ")),
         ],
         ids=[
             "MeasurementBasis",
@@ -372,6 +374,7 @@ class TestArrayHoldingValues:
             "EtaBasis",
             "ContributionTable",
             "ProductPreparation",
+            "PauliExpansion",
         ],
     )
     def test_equality_and_hash_do_not_raise(self, make):
