@@ -14,8 +14,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 
-import numpy as np
-
 from . import __version__, fmt
 from .operators import _complex_array, ket_from_json, matrix_from_json
 from .operators import pauli_strings, projector_from_ket
@@ -100,8 +98,7 @@ def _run_on_state(path: str, sources, kernel):
     with _blame(path):
         state = ket_from_json(data) if _nesting(data) == 2 else matrix_from_json(data)
     bases = [_load_basis(source, len(state)) for source in sources]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf entries
-        rho = projector_from_ket(state) if state.ndim == 1 else state
+    rho = projector_from_ket(state) if state.ndim == 1 else state
     with _blame(path):  # the kernel is the one check of the state, and rejects inf
         return bases, kernel(rho, *bases)
 

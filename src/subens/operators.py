@@ -20,7 +20,6 @@ __all__ = [
     "ATOL",
     "PauliExpansion",
     "almost_equal",
-    "fix_global_phase",
     "is_projector",
     "pauli_expand",
     "pauli_matrix",
@@ -109,6 +108,7 @@ def pauli_matrix(letters: str) -> np.ndarray:
     return functools.reduce(np.kron, (_PAULI[PAULI_LETTERS.index(c)] for c in letters))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or NaN entries
 def symmetric_product(a, b) -> np.ndarray:
     """Symmetrized product (ab + ba)/2; Hermitian whenever a and b are."""
     a = _square(a, "a")
@@ -209,20 +209,11 @@ def pauli_synthesize(e: PauliExpansion) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or NaN entries
 def projector_from_ket(ket) -> np.ndarray:
     """Rank-1 projector |k><k| of a unit-norm amplitude vector."""
     k = _ket(ket)
     return np.outer(k, k.conj())
-
-
-def fix_global_phase(ket) -> np.ndarray:
-    """Rotate a ket so its first amplitude of magnitude > ATOL is real positive."""
-    k = _ket(ket).copy()
-    # np.hypot rounds as abs() of one amplitude does; np.abs of a whole array may not
-    nonzero = np.flatnonzero(np.hypot(k.real, k.imag) > ATOL)
-    if nonzero.size:
-        k *= abs(k[nonzero[0]]) / k[nonzero[0]]
-    return k
 
 
 # ---------------------------------------------------------------------------

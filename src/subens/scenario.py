@@ -39,7 +39,6 @@ from .operators import (
     PauliExpansion,
     _is_rank_one_projector,
     almost_equal,
-    fix_global_phase,
     pauli_synthesize,
     projector_from_ket,
 )
@@ -121,8 +120,10 @@ def _build(coefficients: tuple) -> _Scenario:
     except ScenarioConsistencyError as exc:
         report = ParadoxReport(checks=(CheckResult("measurement-construction", False, str(exc)),))
         return _Scenario(projectors, tables, report, None)
-    # each projector is rank-1, so its ket is the eigenvector of the top eigenvalue
-    kets = np.stack([fix_global_phase(v) for v in np.linalg.eigh(projectors)[1][..., -1]])
+    # P = |k><k|, so |k> = P e_j / sqrt(P_jj): real positive at the first j with |k_j| > ATOL
+    diagonals = np.diagonal(projectors, axis1=1, axis2=2).real
+    first = (diagonals > ATOL**2).argmax(axis=1)
+    kets = np.stack([p[:, j] / np.sqrt(d[j]) for p, d, j in zip(projectors, diagonals, first)])
     kets.setflags(write=False)
     basis = EtaBasis(
         projectors=projectors,

@@ -1,12 +1,13 @@
-"""Shared random-object generators for the property tests, a per-amplitude
-reference of fix_global_phase, the JSON form of a matrix for state files, and
-per-entry reference renderers."""
+"""Shared random-object generators for the property tests, exact complex
+arithmetic for the rational references, the JSON form of a matrix for state
+files, and per-entry reference renderers."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from subens import ATOL, basis_from_kets
+from subens import basis_from_kets
 
 
 def random_hermitian(rng, dim):
@@ -31,15 +32,30 @@ def random_basis(rng, dim):
     return basis_from_kets([q[:, k] for k in range(dim)])
 
 
-def reference_fix_global_phase(ket):
-    """fix_global_phase written as a loop over the amplitudes: the first one
-    of magnitude above ATOL is turned real positive, with the whole ket."""
-    k = np.array(ket, dtype=complex)
-    for amp in k:
-        if abs(amp) > ATOL:
-            k *= abs(amp) / amp
-            break
-    return k
+# A complex matrix in exact arithmetic is the pair (re, im) of numpy object
+# arrays of Fractions: their sums and products round nothing.
+
+_FRACTIONS = np.vectorize(Fraction, otypes=[object])
+
+
+def exact(a):
+    """The exact value of a complex array of doubles, as an (re, im) pair."""
+    a = np.asarray(a, dtype=complex)
+    return _FRACTIONS(a.real), _FRACTIONS(a.imag)
+
+
+def exact_matmul(x, y):
+    (a, b), (c, d) = x, y
+    return a @ c - b @ d, a @ d + b @ c
+
+
+def exact_kron(x, y):
+    (a, b), (c, d) = x, y
+    return np.kron(a, c) - np.kron(b, d), np.kron(a, d) + np.kron(b, c)
+
+
+def exact_dagger(x):
+    return x[0].T, -x[1].T
 
 
 def matrix_to_json(m):

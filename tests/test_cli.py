@@ -395,7 +395,7 @@ class TestMalformedInputs:
         path = tmp_path / "huge.json"
         path.write_text(json.dumps([[[1e200, 0], [1e200, 0]], [[1e200, 0], [0, 1e200]]]))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             code, out, err = run(
                 capsys, ["mh", "--state", zero_state, "--basis-a", "Z", "--basis-b", str(path)]
             )

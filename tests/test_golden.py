@@ -5,15 +5,41 @@ pinned by sha256. The states are |0> as a density-matrix file and |+> as a
 ket file, so both state loaders are covered, and a mixed d = 4 state, which
 ``decompose`` and ``mh`` run over two custom 4×4 basis files. When a digest changes on
 purpose, update it here and say which output changed and why.
+
+Which digests hold on every platform:
+
+- 45 do: the 30 scenario cases (eta, verify, prob, table), the 12 cases on
+  |0> and the 3 of ``decompose`` on |+> over Z. Every scenario number is
+  dyadic, so its sums and products are exact in any order, with or without
+  fused multiply-add, and the kets' 1/√2 entries come from one IEEE square
+  root and one division, both correctly rounded (``test_exact.py`` checks
+  them all against a rational oracle). In the other 15, every number is
+  exact or one rounded product: each sum has at most one nonzero term or
+  adds a number to itself.
+- 18 do not: the 9 cases on |+> over X and the 9 on the mixed d = 4 state.
+  Their matrix products sum rounded terms, so the last bits depend on the
+  order of the sum and on fused multiply-add in the BLAS. With OpenBLAS
+  0.3.31 on x86-64, ``mh`` on |+> over X prints -1.6258839764163445e-17 where
+  the exact value is 0, and a sequential einsum prints 0; on the d = 4 state
+  numpy's matmul and that einsum differ by up to 2.8e-17. ``test_printed_numbers_are_exact_within_rounding`` checks
+  every number that a decompose or mh case prints against exact arithmetic
+  within one ulp of 1.0, so a digest failure that leaves it passing is
+  rounding, not a regression.
 """
 
 import hashlib
 import json
+import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from subens import named_basis
 from subens.cli import main
+
+from helpers import exact, exact_dagger, exact_matmul
 
 GOLDEN = {
     "decompose.mixed4.F.csv": "005381a0e576a38cd32246493b7027b4d23dda5de6294219eaf0c25efb8dba2d",
@@ -35,7 +61,7 @@ GOLDEN = {
     "decompose.zero.Z.json": "2c9ffc229db4276a416012f85ff430b536a923341710b9ede16bbb644b0617a2",
     "decompose.zero.Z.pretty": "e0010334ab4352b24057ac1e1c6251c482998c22f111176cde03863c3a9897ff",
     "eta.csv": "30522f292c1313a62eb966a43ddb0febccdededb7e4386002eac002d031f6882",
-    "eta.json": "602babed9df0f0ade67d3bd57bd6a3b7831c6e264b73c03e6a5d9ac5960129f7",
+    "eta.json": "ee9720ac7f97bfcc0a0ad2af79a7ed40e43105a98cfbfc316ab50662883c506c",
     "eta.pretty": "7d4f62e4ed36906942cfd64d7efbfbe149893a4a4f3e1564bb55c4eb5d86a6bc",
     "mh.mixed4.UF.csv": "ec208783beffd48016d9d2304d4e8a071ed7e13314a835c0985d2d03f79fce40",
     "mh.mixed4.UF.json": "93abadc8c210578d67a9e44ab38cc19ff8cd843b70b5435e55dc4e05039f428a",
@@ -141,3 +167,93 @@ def test_stdout_digest(capsys, tmp_path, name):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == GOLDEN[name], f"stdout of {name} changed; it is now:\n{out}"
+
+
+# The most a number that decompose or mh prints may differ from its exact value:
+# one ulp of 1.0. Every such number is at most 1 in magnitude, and the largest
+# difference measured is 0.22 of this bound.
+ROUNDING = Fraction(2) ** -52
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?")
+
+
+def _complex(data):
+    """The complex array of a document of [re, im] pairs."""
+    a = np.array(data, dtype=float)
+    return a[..., 0] + 1j * a[..., 1]
+
+
+def _exact_kets(name):
+    """Column f is outcome f's ket, exactly as the basis holds it."""
+    return exact(named_basis(name).matrix if name in ("Z", "X") else _complex(BASES[name]).T)
+
+
+def _cells(m, pretty):
+    """The numbers of a matrix's cells in row order: re and im, but in pretty
+    text im only where it is not 0."""
+    out = []
+    for re_, im in zip(m[0].ravel(), m[1].ravel()):
+        out += [re_] if pretty and im == 0 else [re_, im]
+    return out
+
+
+def _label(name, f):
+    """The numbers in outcome f's label: the X basis labels its outcomes + and -."""
+    return [] if name == "X" else [f]
+
+
+def _exact_numbers(name):
+    """The numbers a decompose or mh case prints, in order, each as exact
+    arithmetic gives it from the doubles that its input files hold."""
+    command, state, bases, fmt = name.split(".")
+    pretty = fmt == "pretty"
+    given = _complex(STATES[state])
+    if given.ndim == 1:  # a ket file holds the state |k><k|
+        k = exact(given[:, None])
+        rho = exact_matmul(k, exact_dagger(k))
+    else:
+        rho = exact(given)
+    kets = {b: _exact_kets(b) for b in bases}
+    d = len(rho[0])
+    numbers = []
+    if fmt == "json":  # a custom basis prints its kets, one per row; a named one its name
+        numbers += [x for b in bases if b in BASES for x in _cells([p.T for p in kets[b]], False)]
+    if command == "decompose":
+        (b,) = bases
+        numbers += [d] if pretty else []
+        for f in range(d):
+            v = tuple(part[:, [f]] for part in kets[b])
+            rp = exact_matmul(rho, exact_matmul(v, exact_dagger(v)))
+            term = ((rp[0] + rp[0].T) / 2, (rp[1] - rp[1].T) / 2)  # (rho P + P rho) / 2
+            numbers += [f, *_label(b, f), rp[0].trace(), *_cells(term, pretty)]
+    else:
+        a, b = bases
+        overlap = exact_matmul(exact_dagger(kets[a]), kets[b])
+        inner = exact_matmul(exact_dagger(kets[a]), exact_matmul(rho, kets[b]))
+        q = overlap[0] * inner[0] + overlap[1] * inner[1]  # Re(conj(<a|b>) <a|rho|b>)
+        if pretty:
+            numbers += [x for f in range(d) for x in _label(b, f)]
+        for f in range(d):  # csv and pretty label each row
+            numbers += ([] if fmt == "json" else _label(a, f)) + list(q[f])
+    return numbers
+
+
+def _slack(printed, pretty):
+    """ROUNDING, and in pretty text half a unit in the sixth significant digit."""
+    if not pretty or printed == 0:
+        return ROUNDING
+    return ROUNDING + Fraction(10) ** (math.floor(math.log10(abs(printed))) - 5) / 2
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(GOLDEN) if n.startswith(("decompose", "mh"))])
+def test_printed_numbers_are_exact_within_rounding(capsys, tmp_path, name):
+    # a digest that fails while this passes moved by rounding, not by a regression
+    assert main(_argv(name, tmp_path)) == 0
+    out = capsys.readouterr().out
+    if name.endswith(".csv"):
+        out = out.split("\n", 1)[1]  # the header names the columns
+    printed = [Fraction(t) for t in NUMBER.findall(out)]
+    expected = _exact_numbers(name)
+    assert len(printed) == len(expected)
+    pretty = name.endswith(".pretty")
+    for x, y in zip(printed, expected):
+        assert abs(x - y) <= _slack(x, pretty), (float(x), float(y))

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subens import (
@@ -17,14 +17,9 @@ from subens import (
     pauli_synthesize,
     symmetric_product,
 )
-from subens.operators import (
-    fix_global_phase,
-    ket_from_json,
-    matrix_from_json,
-    projector_from_ket,
-)
+from subens.operators import ket_from_json, matrix_from_json, projector_from_ket
 
-from helpers import random_hermitian, reference_fix_global_phase
+from helpers import random_hermitian
 
 I2 = pauli_matrix("I")
 X = pauli_matrix("X")
@@ -176,6 +171,7 @@ def test_pauli_transform_overflow_is_rejected_without_warning(call, message):
 
 
 _BIG = np.full((2, 2), 1e308 + 0j)
+_HUGE = np.full((2, 2), 1e200)
 
 
 def _raised(call):
@@ -191,11 +187,20 @@ def _raised(call):
         (lambda: almost_equal(_BIG, -_BIG), False),
         (lambda: is_projector(_BIG), False),
         (lambda: _raised(lambda: assignment_operator(_BIG, _BIG)), "pa is not a rank-1 projector"),
+        # the products return their non-finite entries, for the checks that read them to reject
+        (lambda: np.isfinite(symmetric_product(_HUGE, _HUGE)).sum(), 0),
+        (lambda: np.isfinite(projector_from_ket([1e200, 1])).sum(), 3),  # inf at (0, 0) only
     ],
-    ids=["almost-equal", "is-projector", "assignment-operator"],
+    ids=[
+        "almost-equal",
+        "is-projector",
+        "assignment-operator",
+        "symmetric-product",
+        "projector-from-ket",
+    ],
 )
 def test_checks_reject_overflow_without_warning(call, result):
-    # the differences and m @ m overflowed to inf with numpy's RuntimeWarning
+    # the differences, m @ m and the products overflowed with numpy's RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert call() == result
@@ -365,34 +370,6 @@ def test_is_projector_examples():
     half_sum = 0.5 * (I2 + X + Z)
     assert not is_projector(half_sum)
     assert almost_equal(half_sum @ half_sum, 0.75 * I2 + 0.5 * X + 0.5 * Z)
-
-
-def test_fix_global_phase():
-    k = np.array([0.0, 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)])
-    fixed = fix_global_phase(k)
-    assert fixed[1].real > 0 and abs(fixed[1].imag) <= ATOL
-    assert almost_equal(projector_from_ket(fixed), projector_from_ket(k))
-
-
-@st.composite
-def kets_with_small_lead(draw):
-    """Kets whose leading amplitudes are 0 or within a factor 2 of ATOL."""
-    small = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=2 * ATOL, allow_nan=False))
-    rest = st.complex_numbers(max_magnitude=1e6, allow_nan=False)
-    amps = draw(st.lists(small, max_size=4)) + draw(st.lists(rest, max_size=4))
-    return np.array(amps or [0j], dtype=complex)
-
-
-@settings(max_examples=300, deadline=None)
-@given(kets_with_small_lead())
-@example(np.zeros(3, dtype=complex))
-# |a| rounds to just above ATOL in numpy's vectorized abs on some CPUs, not in abs(a)
-@example(np.array([complex(-8.41620980565793e-13, 5.400686299642604e-13), 1j]))
-def test_fix_global_phase_matches_per_amplitude_loop(ket):
-    fixed = fix_global_phase(ket)
-    reference = reference_fix_global_phase(ket)
-    assert fixed.dtype == reference.dtype and fixed.shape == reference.shape
-    assert fixed.tobytes() == reference.tobytes()
 
 
 def test_matrix_json_round_trip():
