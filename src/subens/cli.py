@@ -8,6 +8,7 @@ stderr, data to stdout; output is byte-deterministic for a fixed invocation.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -44,6 +45,19 @@ def _blame(where: str):
         raise InputFileError(f"{where}: {exc}") from exc
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, then restore its state as found: a
+    JSON document holds no cycles, so passes over its lists would free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -70,15 +84,17 @@ def _load_basis(source: str, dim: int):
     if source in ("Z", "X"):
         basis = named_basis(source)
     else:
-        data = _load_json(source)
-        if not isinstance(data, list):
-            raise InputFileError(f"{source}: basis file must be an array of kets")
-        kets = _complex_array(data, 2)
-        if kets is None:  # walk the kets only to word a rejection
-            kets = []
-            for i, k in enumerate(data):
-                with _blame(f"{source}: basis ket {i}"):
-                    kets.append(ket_from_json(k))
+        with _collector_paused():
+            data = _load_json(source)
+            if not isinstance(data, list):
+                raise InputFileError(f"{source}: basis file must be an array of kets")
+            kets = _complex_array(data, 2)
+            if kets is None:  # walk the kets only to word a rejection
+                kets = []
+                for i, k in enumerate(data):
+                    with _blame(f"{source}: basis ket {i}"):
+                        kets.append(ket_from_json(k))
+            del data
         with _blame(source):
             basis = basis_from_kets(kets)
     if basis.dim != dim:
@@ -94,9 +110,11 @@ def _run_on_state(path: str, sources, kernel):
     Each basis is loaded against the parsed state's length before a ket becomes
     its d×d projector, so a ket too long for that projector to fit is rejected first.
     """
-    data = _load_json(path)
-    with _blame(path):
-        state = ket_from_json(data) if _nesting(data) == 2 else matrix_from_json(data)
+    with _collector_paused():
+        data = _load_json(path)
+        with _blame(path):
+            state = ket_from_json(data) if _nesting(data) == 2 else matrix_from_json(data)
+        del data
     bases = [_load_basis(source, len(state)) for source in sources]
     rho = projector_from_ket(state) if state.ndim == 1 else state
     with _blame(path):  # the kernel is the one check of the state, and rejects inf

@@ -150,12 +150,6 @@ def render_table(header, rows) -> str:
         [t for c in row for t in ([c] if isinstance(c, str) else islice(filled, np.size(c)))]
         for row in rows
     ]
-    widths = [
-        max(len(r[col]) for r in text_rows) for col in range(len(text_rows[0]))
-    ]
-    lines = []
-    for r in text_rows:
-        cells = [r[0].ljust(widths[0])]
-        cells += [r[col].rjust(widths[col]) for col in range(1, len(r))]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines)
+    widths = [max(map(len, col)) for col in zip(*text_rows)]
+    line = "  ".join([f"%-{widths[0]}s"] + [f"%{w}s" for w in widths[1:]])
+    return "\n".join((line % tuple(r)).rstrip() for r in text_rows)

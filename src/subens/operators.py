@@ -42,6 +42,10 @@ import numpy as np
 # handful of rounding steps.
 ATOL = 1e-12
 
+# Slack on a Pauli coefficient's imaginary part per unit of the matrix's largest
+# real or imaginary part, which its rounding grows with; ATOL stays the floor.
+PAULI_RTOL = 1e-14
+
 # Eigenvalue slack when validating density matrices; looser than ATOL to
 # absorb accumulation in small dense eigensolves.
 POSITIVITY_ATOL = 1e-10
@@ -158,7 +162,9 @@ def pauli_expand(m) -> PauliExpansion:
     The coefficient of string s is trace(pauli_matrix(s) @ (m / dim)), a mean
     of dim entries: m is scaled by 1/dim before any sum, so only a non-finite
     entry raises. For a Hermitian matrix every coefficient is real; an
-    imaginary part above ATOL means the input is not Hermitian and raises.
+    imaginary part above ATOL, or above PAULI_RTOL times the largest real or
+    imaginary part of an entry if that is more, means the input is not
+    Hermitian and raises.
     Coefficients of magnitude at most ATOL are dropped from the map.
     """
     m = _square(m)
@@ -169,11 +175,12 @@ def pauli_expand(m) -> PauliExpansion:
     if dim < 2 or 2 ** n != dim:
         raise ValueError(f"dimension {dim} is not a power of two of at least 2")
 
+    imag_tol = max(ATOL, PAULI_RTOL * float(np.abs([m.real, m.imag]).max()))
     m = m / dim
     coeffs = {}
     for s in pauli_strings(n):
         c = complex(np.trace(pauli_matrix(s) @ m))
-        if abs(c.imag) > ATOL:
+        if abs(c.imag) > imag_tol:
             raise ValueError(
                 f"matrix is not Hermitian: coefficient of {s} has imaginary part {c.imag!r}"
             )
@@ -218,20 +225,21 @@ def projector_from_ket(ket) -> np.ndarray:
 def _complex_array(data, ndim: int) -> np.ndarray | None:
     """The complex entries of data, a d**ndim array of [re, im] pairs of JSON
     numbers; None if data is anything else."""
-    try:
-        a = np.array(data, dtype=float)
-    except (ValueError, TypeError, OverflowError):
-        return None  # ragged, a string, an object, or an integer beyond a double
-    if a.shape != a.shape[:1] * ndim + (2,):
+    items = [data]
+    width = len(data) if type(data) is list else -1
+    for n in (width,) * ndim + (2,):  # each level: lists of the same length
+        if set(map(type, items)) != {list} or set(map(len, items)) != {n}:
+            return None
+        items = list(itertools.chain.from_iterable(items))
+    # exact types, since dtype=float also reads true, "1" and null as 1.0, 1.0 and nan
+    if not set(map(type, items)) <= {int, float}:
         return None
-    leaves = data
-    for _ in range(ndim):
-        leaves = itertools.chain.from_iterable(leaves)
-    # dtype=float also reads true, "1" and null, as 1.0, 1.0 and nan
-    if not set(map(type, leaves)) <= {int, float}:
+    try:
+        a = np.array(items, dtype=float)
+    except OverflowError:  # an integer beyond a double
         return None
     # the bits of each re and im as read: no arithmetic, so -0.0 and inf survive
-    return a.view(complex)[..., 0]
+    return a.reshape((width,) * ndim + (2,)).view(complex)[..., 0]
 
 
 def _check_pair(item, where: str) -> None:

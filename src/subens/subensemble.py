@@ -160,13 +160,11 @@ def decompose(rho, basis: MeasurementBasis) -> list[SubensembleOperator]:
     u = rho @ v
     vc = v.conj()
     weights = (vc * u).sum(axis=0).real
-    terms = []
-    for f in range(basis.dim):
-        a = u[:, f, None] * vc[:, f]
-        op = 0.5 * (a + a.conj().T)
-        op.setflags(write=False)
-        terms.append(SubensembleOperator(operator=op, weight=float(weights[f])))
-    return terms
+    ops = u.T[:, :, None] * vc.T[:, None, :]  # ops[f] = u_f v_f^H
+    ops += ops.conj().transpose(0, 2, 1)
+    ops *= 0.5
+    ops.setflags(write=False)
+    return [SubensembleOperator(operator=op, weight=w) for op, w in zip(ops, weights.tolist())]
 
 
 def assignment_operator(pa, pb) -> np.ndarray:

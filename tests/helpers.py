@@ -1,7 +1,8 @@
 """Shared random-object generators for the property tests, exact complex
 arithmetic for the rational references, the JSON form of a matrix for state
-files, and per-entry reference renderers."""
+files, a reference loader of such files, and per-entry reference renderers."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -62,6 +63,25 @@ def matrix_to_json(m):
     """A complex matrix as the rows of [re, im] pairs that a state file holds."""
     m = np.asarray(m, dtype=complex)
     return np.stack((m.real, m.imag), axis=-1).tolist()
+
+
+def reference_complex_array(data, ndim):
+    """The complex entries of data, a d**ndim array of [re, im] pairs of JSON
+    numbers, or None: one array conversion of the nested lists, then a second
+    walk over the leaves to check their types."""
+    try:
+        a = np.array(data, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        return None  # ragged, a string, an object, or an integer beyond a double
+    if a.shape != a.shape[:1] * ndim + (2,):
+        return None
+    leaves = data
+    for _ in range(ndim):
+        leaves = itertools.chain.from_iterable(leaves)
+    # dtype=float also reads true, "1" and null, as 1.0, 1.0 and nan
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
+    return a.view(complex)[..., 0]
 
 
 # Reference renderers: each number is formatted on its own, by the rules the

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -485,6 +486,36 @@ class TestMalformedInputs:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+class TestCollectorState:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "state, basis, code",
+        [
+            (ZERO_DENSITY, [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], 0),
+            ([[[1, 0], [0, 0]], [[0, 0], [0, True]]], None, 3),
+            (ZERO_DENSITY, "{not json", 3),
+            (None, None, 3),
+        ],
+        ids=["mh-on-files", "rejected-state", "basis-not-json", "missing-path"],
+    )
+    def test_main_leaves_the_collector_as_found(self, capsys, tmp_path, enabled, state, basis, code):
+        # the loaders pause the cyclic collector while a file becomes its array
+        state_path, basis_path = tmp_path / "state.json", tmp_path / "basis.json"
+        if state is not None:
+            state_path.write_text(json.dumps(state))
+        if basis is not None:
+            basis_path.write_text(basis if isinstance(basis, str) else json.dumps(basis))
+        argv = ["mh", "--state", str(state_path), "--basis-a", "Z"]
+        argv += ["--basis-b", str(basis_path) if basis is not None else "X"]
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert run(capsys, argv)[0] == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestValidation:

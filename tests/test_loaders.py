@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subens.cli import main
-from subens.operators import ket_from_json, matrix_from_json
+from subens.operators import _complex_array, ket_from_json, matrix_from_json
+
+from helpers import reference_complex_array
 
 ZERO_DENSITY = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
 
@@ -131,3 +133,59 @@ def test_matrix_loads_exactly_as_complex_gives_it(rows):
 def test_ket_loads_exactly_as_complex_gives_it(amplitudes):
     want = [complex(re, im) for re, im in amplitudes]
     assert np.array_equal(bits(ket_from_json(amplitudes)), bits(want))
+
+
+def assert_same_complex_array(data, ndim):
+    got, want = _complex_array(data, ndim), reference_complex_array(data, ndim)
+    if want is None:
+        assert got is None
+    else:
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_complex_array_matches_the_two_pass_reference(data):
+    for ndim in (0, 1, 2):
+        assert_same_complex_array(data, ndim)
+
+
+@pytest.mark.parametrize("ndim", [0, 1, 2])
+@pytest.mark.parametrize(
+    "data",
+    [
+        True,
+        "1",
+        None,
+        10**400,
+        [[[1, 0], [0, 0]], [[0, 0]]],
+        [[1, 2, 3]],
+        [1, 2, 3],
+        [[-0.0, -0.0]],
+        [[float("inf"), float("-inf")]],
+        [],
+        [[]],
+        [1.5, -0.0],
+        [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+        [[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]],
+    ],
+    ids=[
+        "true",
+        "string",
+        "null",
+        "int-beyond-double",
+        "ragged-rows",
+        "pair-of-three",
+        "bare-three",
+        "negative-zero",
+        "inf",
+        "empty",
+        "empty-in-empty",
+        "bare-pair",
+        "matrix",
+        "matrix-with-int-beyond-double",
+    ],
+)
+def test_complex_array_fixed_cases_match_the_reference(data, ndim):
+    assert_same_complex_array(data, ndim)

@@ -367,12 +367,12 @@ def test_expand_synthesize_round_trip(dim):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_expand_synthesize_round_trip_at_every_scale(n):
-    # nothing a double holds is rejected; the sweep stops at 10^3 because at
-    # n >= 4 rounding leaves imaginary parts above ATOL from entries of about 2e4
+    # nothing a double holds is rejected: at n >= 4 rounding leaves imaginary
+    # parts above ATOL from entries of about 2e4, within PAULI_RTOL of the scale
     rng = np.random.default_rng(400 + n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for e in range(-300, 4):
+        for e in [*range(-300, 7), *range(10, 301, 10)]:
             h = random_hermitian(rng, 2 ** n) * 10.0 ** e
             bound = 4 ** n * ATOL + 1e-14 * np.abs(h).max()
             assert np.abs(pauli_synthesize(pauli_expand(h)) - h).max() <= bound
