@@ -45,58 +45,55 @@ def _blame(where: str):
         raise InputFileError(f"{where}: {exc}") from exc
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector, then restore its state as found: a
-    JSON document holds no cycles, so passes over its lists would free nothing."""
+def _read(path: str, parse):
+    """parse(document) of the JSON file at path; a failure to open, decode or
+    convert it is an InputFileError naming the path. The cyclic collector is paused
+    meanwhile and restored as found: a JSON document holds no cycles, so its passes
+    would free nothing, and the document never leaves this function."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        yield
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                document = json.load(fh)
+            except UnicodeDecodeError as exc:
+                raise InputFileError(f"{path} is not UTF-8 text: {exc}") from exc
+            except json.JSONDecodeError as exc:
+                raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
+            except ValueError as exc:  # an integer beyond sys.get_int_max_str_digits()
+                raise InputFileError(f"{path}: number too large for a double") from exc
+            except RecursionError as exc:
+                raise InputFileError(f"{path} nests arrays too deeply to read") from exc
+        with _blame(path):
+            return parse(document)
+    except OSError as exc:
+        raise InputFileError(f"cannot read {path}: {exc}") from exc
     finally:
         if enabled:
             gc.enable()
 
 
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputFileError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputFileError(f"{path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise InputFileError(f"{path} nests arrays too deeply to read") from exc
-
-
-def _nesting(data) -> int:
-    """How many arrays deep the first element lies: 2 for a ket, 3 for a matrix."""
-    depth = 0
-    while isinstance(data, list) and data:
-        data, depth = data[0], depth + 1
-    return depth
+def _state_from_json(data):
+    """A ket if the first number lies two arrays deep, otherwise a matrix."""
+    first, depth = data, 0
+    while isinstance(first, list) and first:
+        first, depth = first[0], depth + 1
+    return ket_from_json(data) if depth == 2 else matrix_from_json(data)
 
 
 def _load_basis(source: str, dim: int):
-    if source in ("Z", "X"):
-        basis = named_basis(source)
-    else:
-        with _collector_paused():
-            data = _load_json(source)
-            if not isinstance(data, list):
-                raise InputFileError(f"{source}: basis file must be an array of kets")
-            kets = _complex_array(data, 2)
-            if kets is None:  # walk the kets only to word a rejection
-                kets = []
-                for i, k in enumerate(data):
-                    with _blame(f"{source}: basis ket {i}"):
-                        kets.append(ket_from_json(k))
-            del data
-        with _blame(source):
-            basis = basis_from_kets(kets)
+    def parse(data):
+        if not isinstance(data, list):
+            raise InputFileError(f"{source}: basis file must be an array of kets")
+        kets = _complex_array(data, 2)
+        if kets is None:  # walk the kets only to word a rejection
+            kets = []
+            for i, k in enumerate(data):
+                with _blame(f"{source}: basis ket {i}"):
+                    kets.append(ket_from_json(k))
+        return basis_from_kets(kets)
+
+    basis = named_basis(source) if source in ("Z", "X") else _read(source, parse)
     if basis.dim != dim:
         raise InputFileError(
             f"{source}: basis dimension {basis.dim} does not match state dimension {dim}"
@@ -110,11 +107,7 @@ def _run_on_state(path: str, sources, kernel):
     Each basis is loaded against the parsed state's length before a ket becomes
     its d×d projector, so a ket too long for that projector to fit is rejected first.
     """
-    with _collector_paused():
-        data = _load_json(path)
-        with _blame(path):
-            state = ket_from_json(data) if _nesting(data) == 2 else matrix_from_json(data)
-        del data
+    state = _read(path, _state_from_json)
     bases = [_load_basis(source, len(state)) for source in sources]
     rho = projector_from_ket(state) if state.ndim == 1 else state
     with _blame(path):  # the kernel is the one check of the state, and rejects inf

@@ -201,7 +201,10 @@ class JointQuasiDistribution:
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
+        q = np.asarray(self.q)
+        if np.iscomplexobj(q):  # a real table within ATOL reads as its real part
+            _check_distance("quasi-probability table is not real: max|Im q|", q.imag, 0.0)
+        q = np.array(q.real, dtype=float)  # a copy, so a caller's array stays writable
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
@@ -236,12 +239,9 @@ def negativity(dist) -> float:
     """Total magnitude of the entries below -ATOL; zero for a true joint distribution.
 
     Entries in [-ATOL, 0) are rounding noise of a nonnegative table and count
-    as zero. A non-finite entry raises.
+    as zero. A non-finite entry, or an imaginary part beyond ATOL, raises.
     """
-    if isinstance(dist, JointQuasiDistribution):
-        q = dist.q
-    else:
-        q = np.asarray(dist, dtype=float)
+    q = (dist if isinstance(dist, JointQuasiDistribution) else JointQuasiDistribution(dist)).q
     if not np.isfinite(q).all():
         raise ValueError("quasi-probability table has non-finite entries")
     with np.errstate(over="ignore"):  # overflow reads as inf, rejected

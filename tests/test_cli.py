@@ -16,6 +16,17 @@ from helpers import matrix_to_json
 
 ZERO_DENSITY = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
 
+# an integer of 5000 digits: past the interpreter's digit limit json.load refuses
+# it, and where there is no limit the entry walk finds it beyond a double
+BIG_INT = b"1" + b"0" * 4999
+if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+    BIG_INT_REASON = "{path}: number too large for a double"
+else:
+    BIG_INT_REASON = {
+        "state": "{path}: matrix entry (0,0): number too large for a double",
+        "basis": "{path}: basis ket 0: ket amplitude 0: number too large for a double",
+    }
+
 
 @pytest.fixture
 def zero_state(tmp_path):
@@ -475,8 +486,15 @@ class TestMalformedInputs:
             b"[" * 100_000 + b"]" * 100_000,
             # 200 000 empty rows: a 200 000^2 matrix would need 596 GiB
             b"[" + b",".join([b"[]"] * 200_000) + b"]",
+            b"[[" + BIG_INT + b", 0]]",
         ],
-        ids=["not-utf8", "int-beyond-double", "nested-100000-deep", "200000-empty-rows"],
+        ids=[
+            "not-utf8",
+            "int-beyond-double",
+            "nested-100000-deep",
+            "200000-empty-rows",
+            "int-beyond-digit-limit",
+        ],
     )
     def test_unreadable_state_exits_3_without_traceback(self, capsys, tmp_path, content):
         path = tmp_path / "state.json"
@@ -486,6 +504,47 @@ class TestMalformedInputs:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("which", ["state", "basis"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+            (
+                b"[[[1, 0]]]\xff",
+                "{path} is not UTF-8 text: "
+                "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
+            ),
+            (
+                b"{not json",
+                "{path} is not valid JSON: "
+                "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+            ),
+            (b"[" * 100_000 + b"]" * 100_000, "{path} nests arrays too deeply to read"),
+            (b"[[[" + BIG_INT + b", 0]]]", BIG_INT_REASON),
+            (
+                b'{"kets": []}',
+                {
+                    "state": "{path}: matrix must be a non-empty array of rows",
+                    "basis": "{path}: basis file must be an array of kets",
+                },
+            ),
+        ],
+        ids=["missing-path", "not-utf8", "not-json", "nested-100000-deep", "digit-limit", "object"],
+    )
+    def test_read_rejection_is_worded_exactly(
+        self, capsys, zero_state, tmp_path, which, content, message
+    ):
+        path = tmp_path / "in.json"
+        if content is not None:
+            path.write_bytes(content)
+        if isinstance(message, dict):
+            message = message[which]
+        state, basis = (str(path), "X") if which == "state" else (zero_state, str(path))
+        code, out, err = run(capsys, ["mh", "--state", state, "--basis-a", "Z", "--basis-b", basis])
+        assert code == 3
+        assert out == ""
+        assert err == "error: " + message.format(path=path) + "\n"
 
 
 class TestCollectorState:
@@ -516,6 +575,40 @@ class TestCollectorState:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_collector_is_off_while_a_document_is_alive(
+        self, capsys, monkeypatch, tmp_path, enabled
+    ):
+        state_path, basis_path = tmp_path / "state.json", tmp_path / "basis.json"
+        state_path.write_text(json.dumps(ZERO_DENSITY))
+        basis_path.write_text(json.dumps([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]))
+        seen = []
+
+        def watch(module, name):
+            original = getattr(module, name)
+
+            def watched(*args, **kwargs):
+                seen.append((name, gc.isenabled()))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, watched)
+
+        for module, name in ((json, "load"), (cli, "matrix_from_json"), (cli, "basis_from_kets")):
+            watch(module, name)
+        argv = ["mh", "--state", str(state_path), "--basis-a", str(basis_path), "--basis-b", "X"]
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert run(capsys, argv)[0] == 0
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [
+            ("load", False),
+            ("matrix_from_json", False),
+            ("load", False),
+            ("basis_from_kets", False),
+        ]
 
 
 class TestValidation:

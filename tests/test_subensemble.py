@@ -354,6 +354,26 @@ class TestNegativity:
                 negativity([-1.7e308, -1.7e308])
         assert str(exc.value) == "negativity overflows a double"
 
+    @pytest.mark.parametrize("read", [negativity, JointQuasiDistribution])
+    def test_complex_table_is_rejected_without_warning(self, read):
+        # dtype=float dropped the imaginary part with numpy's ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                read(np.array([[0.5 + 1j, 0.5]]))
+        assert str(exc.value) == (
+            "quasi-probability table is not real: max|Im q| = 1 exceeds tolerance 1e-12"
+        )
+
+    def test_imaginary_part_within_atol_reads_as_the_real_part(self):
+        q = np.array([[0.75 + ATOL * 1j, -0.25 - 1e-16j]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = JointQuasiDistribution(q=q)
+            assert negativity(q) == 0.25
+        assert dist.q.dtype == float
+        assert dist.q.tolist() == [[0.75, -0.25]]
+
 
 class TestArrayHoldingValues:
     @pytest.mark.parametrize(
