@@ -66,7 +66,7 @@ def _read(path: str, parse):
                 raise InputFileError(f"{path} nests arrays too deeply to read") from exc
         with _blame(path):
             return parse(document)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # open raises ValueError on a NUL byte in path
         raise InputFileError(f"cannot read {path}: {exc}") from exc
     finally:
         if enabled:
@@ -136,7 +136,8 @@ def _basis_doc(basis):
 
 def _table_text(table) -> str:
     header = [f"input {table.first}{table.second}"] + [f"eta_{i}" for i in OUTCOMES]
-    return fmt.render_table(header, fmt.labelled_rows(table.row_labels, table.entries))
+    rows = [[label, row] for label, row in zip(table.row_labels, table.entries)]
+    return fmt.render_table(header, rows)
 
 
 def _negative_rows(table, outcome: int) -> list:
@@ -333,7 +334,7 @@ def _cmd_mh(args) -> None:
 
     def rows():
         # csv and pretty print the same labelled rows under different headers
-        return fmt.labelled_rows(basis_a.labels, dist.q)
+        return [[label, row] for label, row in zip(basis_a.labels, dist.q)]
 
     def text():
         title = f"joint quasi-probability: rows {basis_a.name or 'A'}, columns {basis_b.name or 'B'}"

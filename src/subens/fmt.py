@@ -133,12 +133,6 @@ def csv_line(cells) -> str:
     return ",".join(parts)
 
 
-def labelled_rows(labels, values) -> list:
-    """Rows for ``csv_line`` and ``render_table``: each label, then its row of
-    the 2-D array ``values``."""
-    return [[label, row] for label, row in zip(labels, values)]
-
-
 def render_table(header, rows) -> str:
     """Fixed-width table: first column left-justified, the rest right-justified.
     Every cell that is not a string is a number, or an ndarray whose entries

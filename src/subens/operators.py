@@ -50,6 +50,9 @@ PAULI_RTOL = 1e-14
 # absorb accumulation in small dense eigensolves.
 POSITIVITY_ATOL = 1e-10
 
+# Overflow rule of every public function: NaN, inf or an overflowing step raises no
+# warning; the function returns its result, or raises a ValueError naming the defect.
+
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads as inf or NaN, not within
 def _distance(a, b) -> float:

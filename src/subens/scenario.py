@@ -8,9 +8,8 @@ both qubits. The contribution tables computed here decompose each input into
 its four assignment-operator products and show how negative quasi-probability
 entries cancel the shared positive term wherever an outcome is excluded.
 
-Everything is built and checked once per content of the coefficient tables:
-the projectors, the construction check, the measurement, the report and the
-tables, shared and read-only; each input density is cached by product_input.
+Everything below is built from the read-only tables and checked once per
+process, on first use, and shared read-only; product_input caches each input.
 """
 
 from __future__ import annotations
@@ -52,12 +51,12 @@ INPUT_PAIRS = (("0", "0"), ("0", "+"), ("+", "0"), ("+", "+"))
 # Pauli coefficient tables of the four measurement projectors. The 1/4 scale
 # makes each synthesized matrix a genuine rank-1 projector; the sign pattern
 # on the X/Z strings determines which input each outcome excludes.
-ETA_EXPANSIONS = {
-    1: {"II": 0.25, "XX": 0.25, "YY": 0.25, "ZZ": -0.25},
-    2: {"II": 0.25, "XZ": 0.25, "YY": -0.25, "ZX": -0.25},
-    3: {"II": 0.25, "XZ": -0.25, "YY": -0.25, "ZX": 0.25},
-    4: {"II": 0.25, "XX": -0.25, "YY": 0.25, "ZZ": 0.25},
-}
+ETA_EXPANSIONS = MappingProxyType({
+    1: MappingProxyType({"II": 0.25, "XX": 0.25, "YY": 0.25, "ZZ": -0.25}),
+    2: MappingProxyType({"II": 0.25, "XZ": 0.25, "YY": -0.25, "ZX": -0.25}),
+    3: MappingProxyType({"II": 0.25, "XZ": -0.25, "YY": -0.25, "ZX": 0.25}),
+    4: MappingProxyType({"II": 0.25, "XX": -0.25, "YY": 0.25, "ZZ": 0.25}),
+})
 
 # The distinct assignment-operator components (z label, then x label) and
 # each preparation's two as indices into them: rho("0") = (R(0+) + R(0-))/2
@@ -84,9 +83,10 @@ def eta_projector(i: int) -> np.ndarray:
     return _scenario().projectors[OUTCOMES.index(i)]
 
 
+@functools.cache
 def _scenario() -> _Scenario:
-    """Every result of ETA_EXPANSIONS as it is now."""
-    return _build(tuple(tuple(ETA_EXPANSIONS[i].items()) for i in OUTCOMES))
+    """The build of ETA_EXPANSIONS, made on first use, not at import."""
+    return _build(ETA_EXPANSIONS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,10 +99,9 @@ class _Scenario:
     basis: EtaBasis | None
 
 
-@functools.lru_cache(maxsize=1)
-def _build(coefficients: tuple) -> _Scenario:
-    """Every result of one content of the tables, checked once, its arrays read-only."""
-    expansions = tuple(PauliExpansion(n=2, coeffs=dict(t)) for t in coefficients)
+def _build(tables) -> _Scenario:
+    """Every result of the tables (outcome -> Pauli coefficients), checked, its arrays read-only."""
+    expansions = tuple(PauliExpansion(n=2, coeffs=tables[i]) for i in OUTCOMES)
     projectors = np.stack([pauli_synthesize(e) for e in expansions])
     densities = np.stack([product_input(*pair).density for pair in INPUT_PAIRS])
     # (outcome, input) Born matrix over INPUT_PAIRS, never clamped

@@ -208,12 +208,15 @@ class JointQuasiDistribution:
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing sum reads as inf or NaN
     def marginal_a(self) -> np.ndarray:
         return self.q.sum(axis=1)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def marginal_b(self) -> np.ndarray:
         return self.q.sum(axis=0)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def total(self) -> float:
         return float(self.q.sum())
 

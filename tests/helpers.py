@@ -1,6 +1,7 @@
 """Shared random-object generators for the property tests, exact complex
 arithmetic for the rational references, the JSON form of a matrix for state
-files, a reference loader of such files, and per-entry reference renderers."""
+files, a reference loader of such files, per-entry reference renderers, and
+the injection of a defective scenario measurement."""
 
 import itertools
 import math
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import subens.scenario as scenario
 from subens import basis_from_kets
 
 
@@ -136,3 +138,13 @@ def reference_table(header, rows):
         cells = [r[0].ljust(widths[0])] + [c.rjust(w) for c, w in zip(r[1:], widths[1:])]
         lines.append("  ".join(cells).rstrip())
     return "\n".join(lines)
+
+
+def inject_tables(monkeypatch, tables):
+    """Serve every scenario entry point, until monkeypatch undoes it, from one
+    build of ETA_EXPANSIONS with the tables of the outcomes in ``tables``
+    replaced; the shipped tables are read-only, so this is how a test meets
+    a defective measurement. Returns the build."""
+    built = scenario._build({**scenario.ETA_EXPANSIONS, **tables})
+    monkeypatch.setattr(scenario, "_scenario", lambda: built)
+    return built

@@ -12,7 +12,7 @@ import subens.scenario as scenario
 import subens.subensemble as subensemble
 from subens.cli import main
 
-from helpers import matrix_to_json
+from helpers import inject_tables, matrix_to_json
 
 ZERO_DENSITY = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
 
@@ -26,6 +26,10 @@ else:
         "state": "{path}: matrix entry (0,0): number too large for a double",
         "basis": "{path}: basis ket 0: ket amplitude 0: number too large for a double",
     }
+
+
+# a path that no shell can pass, though a caller of main in process can
+NUL_PATH = "a\x00b"
 
 
 @pytest.fixture
@@ -159,21 +163,21 @@ class TestVerify:
         assert len(lines) == 5
 
     def test_corrupted_coefficient_fails(self, capsys, monkeypatch):
-        monkeypatch.setitem(scenario.ETA_EXPANSIONS[1], "XX", 0.26)
+        inject_tables(monkeypatch, {1: {**scenario.ETA_EXPANSIONS[1], "XX": 0.26}})
         code, out, err = run(capsys, ["verify"])
         assert code == 1
         assert "FAIL" in out
         assert "verification failed" in err
 
     def test_corrupted_coefficient_breaks_eta_command(self, capsys, monkeypatch):
-        monkeypatch.setitem(scenario.ETA_EXPANSIONS[2], "XZ", 0.24)
+        inject_tables(monkeypatch, {2: {**scenario.ETA_EXPANSIONS[2], "XZ": 0.24}})
         code, _, err = run(capsys, ["eta"])
         assert code == 1
         assert "error" in err
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
     def test_failed_verify_prints_its_report_and_one_error_line(self, capsys, monkeypatch, fmt):
-        monkeypatch.setitem(scenario.ETA_EXPANSIONS[1], "XX", 0.26)
+        inject_tables(monkeypatch, {1: {**scenario.ETA_EXPANSIONS[1], "XX": 0.26}})
         code, out, err = run(capsys, ["verify", "--format", fmt])
         detail = "outcome 1 coefficients do not synthesize a rank-1 projector"
         check = {"name": "measurement-construction", "passed": False, "detail": detail}
@@ -195,7 +199,7 @@ class TestVerify:
         self, capsys, monkeypatch, argv
     ):
         # outcome_probability and contribution_table do not check the measurement; the commands do
-        monkeypatch.setitem(scenario.ETA_EXPANSIONS[1], "XX", 0.26)
+        inject_tables(monkeypatch, {1: {**scenario.ETA_EXPANSIONS[1], "XX": 0.26}})
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
         assert err == "error: outcome 1 coefficients do not synthesize a rank-1 projector\n"
@@ -510,6 +514,7 @@ class TestMalformedInputs:
         "content, message",
         [
             (None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+            (NUL_PATH, "cannot read {path}: embedded null byte"),
             (
                 b"[[[1, 0]]]\xff",
                 "{path} is not UTF-8 text: "
@@ -530,13 +535,23 @@ class TestMalformedInputs:
                 },
             ),
         ],
-        ids=["missing-path", "not-utf8", "not-json", "nested-100000-deep", "digit-limit", "object"],
+        ids=[
+            "missing-path",
+            "nul-byte-in-path",
+            "not-utf8",
+            "not-json",
+            "nested-100000-deep",
+            "digit-limit",
+            "object",
+        ],
     )
     def test_read_rejection_is_worded_exactly(
         self, capsys, zero_state, tmp_path, which, content, message
     ):
         path = tmp_path / "in.json"
-        if content is not None:
+        if isinstance(content, str):  # a path to pass, not the bytes of a file
+            path = content
+        elif content is not None:
             path.write_bytes(content)
         if isinstance(message, dict):
             message = message[which]

@@ -71,7 +71,7 @@ def test_csv_line(a, x):
 def test_render_table(a, x):
     header = ["q"] + [f"c{j}" for j in range(a.shape[1])] + ["x"]
     labels = [f"r{i}" for i in range(len(a))]
-    rows = [row + [x] for row in fmt.labelled_rows(labels, a)]
+    rows = [[label, row, x] for label, row in zip(labels, a)]
     expected = [[label, *row, x] for label, row in zip(labels, a.tolist())]
     assert fmt.render_table(header, rows) == reference_table(header, expected)
 

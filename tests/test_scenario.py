@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from subens import (
 )
 from subens.cli import main
 
-from helpers import random_unitary
+from helpers import inject_tables, random_unitary
 
 SQRT_HALF = np.sqrt(0.5)
 
@@ -128,7 +130,7 @@ class TestEtaBasis:
     )
     def test_corrupted_coefficient_fails_construction(self, monkeypatch, string, i):
         corrupted = scenario.ETA_EXPANSIONS[i][string] + 0.01
-        monkeypatch.setitem(scenario.ETA_EXPANSIONS[i], string, corrupted)
+        inject_tables(monkeypatch, {i: {**scenario.ETA_EXPANSIONS[i], string: corrupted}})
         with pytest.raises(ScenarioConsistencyError):
             eta_basis()
         report = verify_paradox()
@@ -154,8 +156,7 @@ class TestEtaBasis:
         ids=["outcomes-1-2-swapped", "outcome-1-twice", "computational-basis"],
     )
     def test_measurement_defect_is_named(self, monkeypatch, tables, message):
-        for i, coeffs in tables.items():
-            monkeypatch.setitem(scenario.ETA_EXPANSIONS, i, coeffs)
+        inject_tables(monkeypatch, tables)
         with pytest.raises(ScenarioConsistencyError) as exc:
             eta_basis()
         assert str(exc.value) == message
@@ -184,7 +185,7 @@ class TestOutcomeProbability:
 
     def test_defective_measurement_is_not_clamped(self, monkeypatch):
         # a negative probability must reach the checks that would catch it
-        monkeypatch.setitem(scenario.ETA_EXPANSIONS[1], "ZZ", -0.5)
+        inject_tables(monkeypatch, {1: {**scenario.ETA_EXPANSIONS[1], "ZZ": -0.5}})
         assert outcome_probability(1, "0", "0") == -0.25
 
 
@@ -309,7 +310,7 @@ class TestVerifyParadox:
             assert table.negatives[0] == ()  # the shared (0+;0+) row
 
     def test_failed_construction_has_no_inputs(self, monkeypatch):
-        monkeypatch.setitem(scenario.ETA_EXPANSIONS[1], "XX", 0.26)
+        inject_tables(monkeypatch, {1: {**scenario.ETA_EXPANSIONS[1], "XX": 0.26}})
         report = verify_paradox()
         assert [c.name for c in report.checks] == ["measurement-construction"]
         assert report.tables == report.excluded_outcomes == report.born_probabilities == ()
@@ -374,7 +375,7 @@ def _results():
 
 
 class TestBuiltOncePerTable:
-    """The scenario arrays are built once per content of ETA_EXPANSIONS."""
+    """The scenario arrays are built once per process from read-only tables."""
 
     @staticmethod
     def _count_builds(monkeypatch):
@@ -394,11 +395,24 @@ class TestBuiltOncePerTable:
         verify_paradox()
         assert counts == {"pauli_synthesize": 0, "assignment_operator": 0}
 
-    def test_rewritten_table_is_seen_by_every_entry_point(self, monkeypatch):
+    def test_tables_are_read_only(self):
+        with pytest.raises(TypeError):
+            scenario.ETA_EXPANSIONS[1]["II"] = 0.75
+        with pytest.raises(TypeError):
+            scenario.ETA_EXPANSIONS[5] = {}
+        assert scenario.ETA_EXPANSIONS == EXPECTED_EXPANSIONS
+
+    def test_nothing_is_built_at_import(self):
+        code = "import subens.cli, subens.scenario as s; print(s._scenario.cache_info().currsize)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "0\n", "")
+
+    def test_injected_build_is_seen_by_every_entry_point(self, monkeypatch):
         before = _results()
         counts = self._count_builds(monkeypatch)
-        monkeypatch.setitem(scenario.ETA_EXPANSIONS[1], "ZZ", -0.5)
-        projector = pauli_synthesize(PauliExpansion(n=2, coeffs=scenario.ETA_EXPANSIONS[1]))
+        tables = {1: {**scenario.ETA_EXPANSIONS[1], "ZZ": -0.5}}
+        inject_tables(monkeypatch, tables)
+        projector = pauli_synthesize(PauliExpansion(n=2, coeffs=tables[1]))
 
         message = "outcome 1 coefficients do not synthesize a rank-1 projector"
         with pytest.raises(ScenarioConsistencyError) as exc:
@@ -447,7 +461,7 @@ SCENARIO_CYCLE = [
 
 
 class TestServedFromOneBuild:
-    """Every scenario command is served from one checked build per table content."""
+    """Every scenario command is served from one checked build per process."""
 
     def test_second_cycle_recomputes_nothing(self, capsys, monkeypatch):
         assert len(SCENARIO_CYCLE) == 33
@@ -471,7 +485,7 @@ class TestServedFromOneBuild:
             capsys.readouterr()
             return dict(counts)
 
-        scenario._build.cache_clear()  # so that the first cycle builds the scenario
+        scenario._scenario.cache_clear()  # so that the first cycle builds the scenario
         first = cycle()
         # one build, whose kets are closed form: no eigensolver
         assert (first["_excluded_inputs"], first["eigh"]) == (1, 0)
