@@ -185,7 +185,8 @@ def pauli_expand(m) -> PauliExpansion:
         c = complex(np.trace(pauli_matrix(s) @ m))
         if abs(c.imag) > imag_tol:
             raise ValueError(
-                f"matrix is not Hermitian: coefficient of {s} has imaginary part {c.imag!r}"
+                f"matrix is not Hermitian: imaginary part of the coefficient of {s} = "
+                f"{c.imag!r} exceeds tolerance {imag_tol:g}"
             )
         if abs(c.real) > ATOL:
             coeffs[s] = c.real

@@ -195,13 +195,15 @@ class JointQuasiDistribution:
 
     Rows follow the outcomes of the first basis, columns those of the second.
     Both marginals reproduce the single-basis Born distributions; entries may
-    be negative.
+    be negative. A table that is not two-dimensional raises.
     """
 
     q: np.ndarray
 
     def __post_init__(self):
         q = np.asarray(self.q)
+        if q.ndim != 2:
+            raise ValueError(f"quasi-probability table must be a matrix, got shape {q.shape}")
         if np.iscomplexobj(q):  # a real table within ATOL reads as its real part
             _check_distance("quasi-probability table is not real: max|Im q|", q.imag, 0.0)
         q = np.array(q.real, dtype=float)  # a copy, so a caller's array stays writable
@@ -241,10 +243,13 @@ def mh_joint(rho, basis_a: MeasurementBasis, basis_b: MeasurementBasis) -> Joint
 def negativity(dist) -> float:
     """Total magnitude of the entries below -ATOL; zero for a true joint distribution.
 
-    Entries in [-ATOL, 0) are rounding noise of a nonnegative table and count
-    as zero. A non-finite entry, or an imaginary part beyond ATOL, raises.
+    dist is a JointQuasiDistribution or a real array of any shape. Entries in
+    [-ATOL, 0) are rounding noise of a nonnegative table and count as zero. A
+    non-finite entry, or an imaginary part beyond ATOL, raises.
     """
-    q = (dist if isinstance(dist, JointQuasiDistribution) else JointQuasiDistribution(dist)).q
+    if not isinstance(dist, JointQuasiDistribution):  # one row: no marginal is read
+        dist = JointQuasiDistribution(np.reshape(dist, (1, -1)))
+    q = dist.q
     if not np.isfinite(q).all():
         raise ValueError("quasi-probability table has non-finite entries")
     with np.errstate(over="ignore"):  # overflow reads as inf, rejected

@@ -142,6 +142,16 @@ class TestTable:
         assert "(0+;0-)" in out
 
 
+_DETAIL = "outcome 1 coefficients do not synthesize a rank-1 projector"
+_CHECK = {"name": "measurement-construction", "passed": False, "detail": _DETAIL}
+# what verify prints, in each format, on a build whose outcome 1 table has XX = 0.26
+FAILED_REPORT = {
+    "json": json.dumps({"passed": False, "checks": [_CHECK], "inputs": []}, indent=2) + "\n",
+    "csv": "input,excluded_outcome,born_probability,negative_rows\n",
+    "pretty": f"scenario verification: FAIL\n  [FAIL] measurement-construction: {_DETAIL}\n",
+}
+
+
 class TestVerify:
     def test_exit_zero_on_shipped_scenario(self, capsys):
         code, out, err = run(capsys, ["verify"])
@@ -179,15 +189,8 @@ class TestVerify:
     def test_failed_verify_prints_its_report_and_one_error_line(self, capsys, monkeypatch, fmt):
         inject_tables(monkeypatch, {1: {**scenario.ETA_EXPANSIONS[1], "XX": 0.26}})
         code, out, err = run(capsys, ["verify", "--format", fmt])
-        detail = "outcome 1 coefficients do not synthesize a rank-1 projector"
-        check = {"name": "measurement-construction", "passed": False, "detail": detail}
-        report = {
-            "json": json.dumps({"passed": False, "checks": [check], "inputs": []}, indent=2) + "\n",
-            "csv": "input,excluded_outcome,born_probability,negative_rows\n",
-            "pretty": f"scenario verification: FAIL\n  [FAIL] measurement-construction: {detail}\n",
-        }
         assert code == 1
-        assert out == report[fmt]
+        assert out == FAILED_REPORT[fmt]
         assert err == "error: verification failed: measurement-construction\n"
 
     @pytest.mark.parametrize(
@@ -203,6 +206,71 @@ class TestVerify:
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
         assert err == "error: outcome 1 coefficients do not synthesize a rank-1 projector\n"
+
+
+# every distinct scenario invocation: eta, prob, table and verify in three formats
+SCENARIO_INVOCATIONS = [
+    [command, *extra, "--format", form]
+    for command, extras in (
+        ("eta", [[]]),
+        ("prob", [["--input", label] for label in cli.INPUT_CHOICES]),
+        ("table", [["--input", label] for label in cli.INPUT_CHOICES]),
+        ("verify", [[]]),
+    )
+    for extra in extras
+    for form in ("json", "csv", "pretty")
+]
+
+
+class TestReprintedText:
+    """A scenario command renders its text once per build, and a repeat reprints it."""
+
+    @pytest.fixture
+    def renders(self, monkeypatch):
+        """The calls of each renderer since the last reset, with no text kept yet."""
+        monkeypatch.setattr(cli, "_TEXTS", {})
+        calls = {}
+        for name in ("dumps", "csv_line", "render_table"):
+            calls[name] = 0
+
+            def counted(*args, _name=name, _fn=getattr(cli.fmt, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli.fmt, name, counted)
+        return calls
+
+    def test_second_pass_renders_nothing(self, capsys, renders):
+        assert len(SCENARIO_INVOCATIONS) == 30
+        first = [run(capsys, argv) for argv in SCENARIO_INVOCATIONS]
+        assert [code for code, _, _ in first] == [0] * 30
+        # one document per json call; a csv line per row; a grid per table, four in verify
+        assert renders == {"dumps": 10, "csv_line": 5 + 4 * 5 + 4 * 4 + 5, "render_table": 4 + 4}
+        renders.update(dict.fromkeys(renders, 0))
+        assert [run(capsys, argv) for argv in SCENARIO_INVOCATIONS] == first
+        assert renders == {"dumps": 0, "csv_line": 0, "render_table": 0}
+
+    def test_each_build_renders_its_own_text(self, capsys, monkeypatch, renders):
+        argv = ["eta", "--format", "json"]
+        shipped = run(capsys, argv)
+        inject_tables(monkeypatch, {})  # a second build of the same tables
+        renders["dumps"] = 0
+        assert run(capsys, argv) == shipped
+        assert renders["dumps"] == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_defective_build_prints_its_report_on_every_call(self, capsys, monkeypatch, fmt):
+        argv = ["verify", "--format", fmt]
+        shipped = run(capsys, argv)
+        assert shipped[0] == 0
+        inject_tables(monkeypatch, {1: {**scenario.ETA_EXPANSIONS[1], "XX": 0.26}})
+        error = "error: verification failed: measurement-construction\n"
+        for _ in range(3):
+            assert run(capsys, argv) == (1, FAILED_REPORT[fmt], error)
+            for other in (["eta"], ["prob", "--input", "00"], ["table", "--input", "00"]):
+                assert run(capsys, other + ["--format", fmt]) == (1, "", f"error: {_DETAIL}\n")
+        monkeypatch.undo()
+        assert run(capsys, argv) == shipped
 
 
 class TestDecompose:

@@ -238,7 +238,8 @@ def test_checks_reject_overflow_without_warning(call, result):
         # the first string in serialization order past ATOL, not the largest (Y, 0.5)
         (
             lambda: pauli_expand(np.array([[0.1j, 1], [0, 0]])),
-            "matrix is not Hermitian: coefficient of I has imaginary part 0.05",
+            "matrix is not Hermitian: imaginary part of the coefficient of I = 0.05 "
+            "exceeds tolerance 1e-12",
         ),
     ],
     ids=[

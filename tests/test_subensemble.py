@@ -297,6 +297,15 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match="dimensions differ"):
             mh_joint(np.eye(2) / 2, z_basis(), random_basis(rng, 4))
 
+    @pytest.mark.parametrize(
+        "q", [np.array(0.5), np.array([1.0, -2.0]), np.zeros((2, 2, 2))], ids=["0-d", "1-d", "3-d"]
+    )
+    def test_table_must_be_two_dimensional(self, q):
+        # a 1-D table's marginal_a raised numpy's AxisError, a 0-d one's marginal_b gave 0.5
+        with pytest.raises(ValueError) as exc:
+            JointQuasiDistribution(q)
+        assert str(exc.value) == f"quasi-probability table must be a matrix, got shape {q.shape}"
+
     def test_json_dict_shape(self, capsys, tmp_path):
         # the document is built by the CLI from the bases and the library's table
         basis_a, basis_b = z_basis(), x_basis()
@@ -325,6 +334,15 @@ class TestNegativity:
 
     def test_simple_array(self):
         assert negativity([0.5, 0.75, -0.25]) == pytest.approx(0.25, abs=ATOL)
+
+    @pytest.mark.parametrize(
+        ("q", "expected"),
+        [(-0.5, 0.5), ([1.0, -2.0], 2.0), ([[[0.5, -0.5]], [[-1.0, 2.0]]], 1.5)],
+        ids=["0-d", "1-d", "3-d"],
+    )
+    def test_takes_an_array_of_any_shape(self, q, expected):
+        # it needs no marginals, so unlike JointQuasiDistribution it takes any shape
+        assert negativity(np.array(q)) == expected
 
     def test_each_negative_entry_contributes_its_magnitude(self):
         assert negativity([[0.25, -0.25], [-0.25, 0.75]]) == pytest.approx(
