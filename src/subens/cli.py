@@ -123,7 +123,7 @@ def _render(fmt_name: str, doc, rows, text) -> str:
     if fmt_name == "json":
         return fmt.dumps(doc())
     if fmt_name == "csv":
-        return "\n".join(fmt.csv_line(row) for row in rows())
+        return fmt.csv_line(*rows())
     return text()
 
 

@@ -39,7 +39,7 @@ from .operators import (
     ATOL,
     POSITIVITY_ATOL,
     _check_distance,
-    _is_rank_one_projector,
+    _check_rank_one_projector,
     _square,
     symmetric_product,
 )
@@ -179,13 +179,15 @@ def assignment_operator(pa, pb) -> np.ndarray:
     pb = _square(pb, "pb")
     if pa.shape != pb.shape:
         raise ValueError(f"dimension mismatch: {pa.shape[0]} vs {pb.shape[0]}")
-    for name, p in (("pa", pa), ("pb", pb)):
-        if not _is_rank_one_projector(p):
-            raise ValueError(f"{name} is not a rank-1 projector")
+    _check_rank_one_projector(pa, "pa")
+    _check_rank_one_projector(pb, "pb")
     sym = symmetric_product(pa, pb)
     overlap = float(np.trace(sym).real)
     if overlap <= ATOL:
-        raise ValueError("projectors are orthogonal; simultaneous assignment is undefined")
+        raise ValueError(
+            f"projectors are orthogonal: tr(pa pb) = {overlap:.3g} is within tolerance "
+            f"{ATOL:g}; simultaneous assignment is undefined"
+        )
     return sym / overlap
 
 

@@ -199,7 +199,11 @@ def _raised(call):
     [
         (lambda: almost_equal(_BIG, -_BIG), False),
         (lambda: is_projector(_BIG), False),
-        (lambda: _raised(lambda: assignment_operator(_BIG, _BIG)), "pa is not a rank-1 projector"),
+        (
+            lambda: _raised(lambda: assignment_operator(_BIG, _BIG)),
+            "pa is not a rank-1 projector: not idempotent, max|pa^2 - pa| = inf "
+            "exceeds tolerance 1e-12",
+        ),
         # the products return their non-finite entries, for the checks that read them to reject
         (lambda: np.isfinite(symmetric_product(_HUGE, _HUGE)).sum(), 0),
         (lambda: np.isfinite(projector_from_ket([1e200, 1])).sum(), 3),  # inf at (0, 0) only

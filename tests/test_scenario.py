@@ -123,7 +123,10 @@ class TestEtaBasis:
         assert str(exc.value) == "outcome 1 coefficients do not synthesize a rank-1 projector"
         with pytest.raises(ValueError) as exc:
             assignment_operator(projectors[0], projectors[1])
-        assert str(exc.value) == "pa is not a rank-1 projector"
+        assert str(exc.value) == (
+            "pa is not a rank-1 projector: trace is not 1, |tr pa - 1| = 2e-12 "
+            "exceeds tolerance 1e-12"
+        )
 
     @pytest.mark.parametrize(
         ("string", "i"), [(s, i) for i, coeffs in scenario.ETA_EXPANSIONS.items() for s in coeffs]
@@ -403,9 +406,13 @@ class TestBuiltOncePerTable:
         assert scenario.ETA_EXPANSIONS == EXPECTED_EXPANSIONS
 
     def test_nothing_is_built_at_import(self):
-        code = "import subens.cli, subens.scenario as s; print(s._scenario.cache_info().currsize)"
+        # neither the scenario nor the tables of the 17-digit printer
+        code = (
+            "import subens.cli, subens.fmt as f, subens.scenario as s; "
+            "print(s._scenario.cache_info().currsize, f._tables.cache_info().currsize)"
+        )
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert (run.returncode, run.stdout, run.stderr) == (0, "0\n", "")
+        assert (run.returncode, run.stdout, run.stderr) == (0, "0 0\n", "")
 
     def test_injected_build_is_seen_by_every_entry_point(self, monkeypatch):
         before = _results()

@@ -220,8 +220,34 @@ class TestAssignmentOperator:
         )
 
     def test_orthogonal_projectors_rejected(self):
-        with pytest.raises(ValueError, match="orthogonal"):
+        with pytest.raises(ValueError) as exc:
             assignment_operator(PROJ_0, PROJ_1)
+        assert str(exc.value) == (
+            "projectors are orthogonal: tr(pa pb) = 0 is within tolerance 1e-12; "
+            "simultaneous assignment is undefined"
+        )
+
+    @pytest.mark.parametrize(
+        ("pa", "pb", "message"),
+        [
+            (
+                PROJ_0 + np.array([[0, 1e-9], [0, 0]]),
+                PROJ_PLUS,
+                "pa is not a rank-1 projector: not Hermitian, max|pa - pa^H| = 1e-09",
+            ),
+            (
+                PROJ_0,
+                0.5 * PROJ_PLUS,
+                "pb is not a rank-1 projector: not idempotent, max|pb^2 - pb| = 0.125",
+            ),
+            (np.eye(2), PROJ_PLUS, "pa is not a rank-1 projector: trace is not 1, |tr pa - 1| = 1"),
+        ],
+        ids=["hermiticity", "idempotence", "trace"],
+    )
+    def test_rejection_names_the_failed_property_and_its_residual(self, pa, pb, message):
+        with pytest.raises(ValueError) as exc:
+            assignment_operator(pa, pb)
+        assert str(exc.value) == message + " exceeds tolerance 1e-12"
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError) as exc:
