@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
+
+import orjson
 
 from . import __version__, fmt
 from .operators import _complex_array, ket_from_json, matrix_from_json
@@ -45,6 +48,40 @@ def _blame(where: str):
         raise InputFileError(f"{where}: {exc}") from exc
 
 
+# every byte but the brackets: deleting them leaves a document's nesting
+_NOT_BRACKETS = bytes(range(256)).translate(None, b"[]")
+
+
+def _shallow(data: bytes) -> bool:
+    """True iff data holds no '"' and its brackets balance within three levels, the
+    depth of a valid state or basis file (rows, entries, [re, im]). Each pass deletes
+    the innermost [] pairs, so only such a nesting is gone after three passes."""
+    if b'"' in data:
+        return False
+    nesting = data.translate(None, _NOT_BRACKETS)
+    for _ in range(3):
+        nesting = nesting.replace(b"[]", b"")
+    return not nesting
+
+
+def _document(data: bytes):
+    """The JSON document in data, the bytes of a file.
+
+    A shallow document is parsed by orjson, which reads each number to the
+    double json gives, bit for bit; orjson never sees a deep one, on which it
+    can crash. Anything else, and anything orjson refuses, is parsed by json
+    from the text open(..., encoding="utf-8") would give, so that a rejection
+    keeps json's wording and positions.
+    """
+    if _shallow(data):
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _read(path: str, parse):
     """parse(document) of the JSON file at path; a failure to open, decode or
     convert it is an InputFileError naming the path. The cyclic collector is paused
@@ -53,17 +90,18 @@ def _read(path: str, parse):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                document = json.load(fh)
-            except UnicodeDecodeError as exc:
-                raise InputFileError(f"{path} is not UTF-8 text: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
-            except ValueError as exc:  # an integer beyond sys.get_int_max_str_digits()
-                raise InputFileError(f"{path}: number too large for a double") from exc
-            except RecursionError as exc:
-                raise InputFileError(f"{path} nests arrays too deeply to read") from exc
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            document = _document(data)
+        except UnicodeDecodeError as exc:
+            raise InputFileError(f"{path} is not UTF-8 text: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise InputFileError(f"{path} is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer beyond sys.get_int_max_str_digits()
+            raise InputFileError(f"{path}: number too large for a double") from exc
+        except RecursionError as exc:
+            raise InputFileError(f"{path} nests arrays too deeply to read") from exc
         with _blame(path):
             return parse(document)
     except (OSError, ValueError) as exc:  # open raises ValueError on a NUL byte in path

@@ -125,23 +125,14 @@ def is_projector(m) -> bool:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing p @ p is not p
-def _check_rank_one_projector(p: np.ndarray, name: str = "p") -> None:
+def _check_rank_one_projector(p: np.ndarray, name: str = "p", defect: str = "") -> None:
     """Raise unless the square array p is Hermitian, idempotent and of complex
-    trace 1 within ATOL; the message names the first of these that fails and
-    its residual."""
-    defect = f"{name} is not a rank-1 projector:"
+    trace 1 within ATOL; the message, after defect (by default "<name> is not a
+    rank-1 projector"), names the first of these that fails and its residual."""
+    defect = (defect or f"{name} is not a rank-1 projector") + ":"
     _check_distance(f"{defect} not Hermitian, max|{name} - {name}^H|", p, p.conj().T)
     _check_distance(f"{defect} not idempotent, max|{name}^2 - {name}|", p @ p, p)
     _check_distance(f"{defect} trace is not 1, |tr {name} - 1|", np.trace(p), 1.0)
-
-
-def _is_rank_one_projector(p) -> bool:
-    """True iff p is a projector of complex trace 1 within ATOL."""
-    try:
-        _check_rank_one_projector(_square(p))
-    except ValueError:
-        return False
-    return True
 
 
 @dataclass(frozen=True, eq=False)

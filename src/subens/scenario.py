@@ -36,7 +36,8 @@ import numpy as np
 from .operators import (
     ATOL,
     PauliExpansion,
-    _is_rank_one_projector,
+    _check_distance,
+    _check_rank_one_projector,
     almost_equal,
     pauli_synthesize,
     projector_from_ket,
@@ -159,17 +160,21 @@ def _excluded_inputs(projectors: np.ndarray, born: np.ndarray) -> np.ndarray:
     result is then a permutation, and ``np.argsort`` of it gives each
     input's excluded outcome.
     """
-    for i, p in zip(OUTCOMES, projectors):
-        if not _is_rank_one_projector(p):
-            raise ScenarioConsistencyError(
-                f"outcome {i} coefficients do not synthesize a rank-1 projector"
-            )
-    if not almost_equal(projectors.sum(axis=0), np.eye(4)):
-        raise ScenarioConsistencyError("projectors do not sum to the identity")
-    products = projectors[:, None] @ projectors[None]
-    for a, b in zip(*np.triu_indices(4, k=1)):
-        if not almost_equal(products[a, b], np.zeros((4, 4))):
-            raise ScenarioConsistencyError(f"outcomes {a + 1} and {b + 1} are not orthogonal")
+    try:  # each message ends with the residual and the tolerance it exceeds
+        for i, p in zip(OUTCOMES, projectors):
+            defect = f"outcome {i} coefficients do not synthesize a rank-1 projector"
+            _check_rank_one_projector(p, f"P{i}", defect)
+        _check_distance(
+            "projectors do not sum to the identity: max|P1 + P2 + P3 + P4 - I|",
+            projectors.sum(axis=0),
+            np.eye(4),
+        )
+        products = projectors[:, None] @ projectors[None]
+        for a, b in zip(*np.triu_indices(4, k=1)):
+            pair = f"outcomes {a + 1} and {b + 1} are not orthogonal: max|P{a + 1} P{b + 1}|"
+            _check_distance(pair, products[a, b], 0.0)
+    except ValueError as exc:
+        raise ScenarioConsistencyError(str(exc)) from exc
 
     zeros = np.abs(born) <= ATOL
     for i, row in zip(OUTCOMES, zeros):

@@ -5,6 +5,7 @@ import sys
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 
 import subens.cli as cli
@@ -142,7 +143,10 @@ class TestTable:
         assert "(0+;0-)" in out
 
 
-_DETAIL = "outcome 1 coefficients do not synthesize a rank-1 projector"
+_DETAIL = (
+    "outcome 1 coefficients do not synthesize a rank-1 projector: "
+    "not idempotent, max|P1^2 - P1| = 0.0101 exceeds tolerance 1e-12"
+)
 _CHECK = {"name": "measurement-construction", "passed": False, "detail": _DETAIL}
 # what verify prints, in each format, on a build whose outcome 1 table has XX = 0.26
 FAILED_REPORT = {
@@ -205,7 +209,7 @@ class TestVerify:
         inject_tables(monkeypatch, {1: {**scenario.ETA_EXPANSIONS[1], "XX": 0.26}})
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
-        assert err == "error: outcome 1 coefficients do not synthesize a rank-1 projector\n"
+        assert err == f"error: {_DETAIL}\n"
 
 
 # every distinct scenario invocation: eta, prob, table and verify in three formats
@@ -594,6 +598,25 @@ class TestMalformedInputs:
                 "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
             ),
             (b"[" * 100_000 + b"]" * 100_000, "{path} nests arrays too deeply to read"),
+            (b"[" * 1_000_000 + b"]" * 1_000_000, "{path} nests arrays too deeply to read"),
+            (
+                b"[[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]",
+                {
+                    "state": "{path}: matrix row 0 must be an array of 1 entries",
+                    "basis": "{path}: basis ket 0: ket amplitude 0: "
+                    "a complex number must be a [re, im] pair",
+                },
+            ),
+            (
+                # positions count the text after universal newlines: one char per CRLF
+                b"[[[1, 0], [0, 0]],\r\n [[0, 0], [0, 0]]\r\n [0]]",
+                "{path} is not valid JSON: Expecting ',' delimiter: line 3 column 2 (char 38)",
+            ),
+            (
+                json.dumps(ZERO_DENSITY).encode() + b" " * 9000 + b"\xff",
+                "{path} is not UTF-8 text: "
+                "'utf-8' codec can't decode byte 0xff in position 9036: invalid start byte",
+            ),
             (b"[[[" + BIG_INT + b", 0]]]", BIG_INT_REASON),
             (
                 b'{"kets": []}',
@@ -609,6 +632,10 @@ class TestMalformedInputs:
             "not-utf8",
             "not-json",
             "nested-100000-deep",
+            "nested-1000000-deep",
+            "numbers-4-deep",
+            "crlf-syntax-error-on-line-3",
+            "not-utf8-past-8k",
             "digit-limit",
             "object",
         ],
@@ -668,17 +695,20 @@ class TestCollectorState:
         basis_path.write_text(json.dumps([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]))
         seen = []
 
-        def watch(module, name):
+        def watch(module, name, label):
             original = getattr(module, name)
 
             def watched(*args, **kwargs):
-                seen.append((name, gc.isenabled()))
+                seen.append((label, gc.isenabled()))
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, watched)
 
-        for module, name in ((json, "load"), (cli, "matrix_from_json"), (cli, "basis_from_kets")):
-            watch(module, name)
+        # either parser may read a file: orjson a shallow file of numbers, json the rest
+        for module, name in ((orjson, "loads"), (json, "load")):
+            watch(module, name, "parse")
+        for name in ("matrix_from_json", "basis_from_kets"):
+            watch(cli, name, name)
         argv = ["mh", "--state", str(state_path), "--basis-a", str(basis_path), "--basis-b", "X"]
         was = gc.isenabled()
         try:
@@ -687,9 +717,9 @@ class TestCollectorState:
         finally:
             (gc.enable if was else gc.disable)()
         assert seen == [
-            ("load", False),
+            ("parse", False),
             ("matrix_from_json", False),
-            ("load", False),
+            ("parse", False),
             ("basis_from_kets", False),
         ]
 

@@ -120,7 +120,10 @@ class TestEtaBasis:
         projectors[0] = projectors[0] + 0.5e-12j * np.eye(4)
         with pytest.raises(ScenarioConsistencyError) as exc:
             scenario._excluded_inputs(projectors, _born(projectors))
-        assert str(exc.value) == "outcome 1 coefficients do not synthesize a rank-1 projector"
+        assert str(exc.value) == (
+            "outcome 1 coefficients do not synthesize a rank-1 projector: "
+            "trace is not 1, |tr P1 - 1| = 2e-12 exceeds tolerance 1e-12"
+        )
         with pytest.raises(ValueError) as exc:
             assignment_operator(projectors[0], projectors[1])
         assert str(exc.value) == (
@@ -146,7 +149,11 @@ class TestEtaBasis:
                 {1: EXPECTED_EXPANSIONS[2], 2: EXPECTED_EXPANSIONS[1]},
                 "outcome 1 must exclude input 00, found 0+",
             ),
-            ({2: EXPECTED_EXPANSIONS[1]}, "projectors do not sum to the identity"),
+            (
+                {2: EXPECTED_EXPANSIONS[1]},
+                "projectors do not sum to the identity: "
+                "max|P1 + P2 + P3 + P4 - I| = 0.75 exceeds tolerance 1e-12",
+            ),
             (
                 # the computational basis: |00> is excluded by no input
                 {
@@ -421,7 +428,10 @@ class TestBuiltOncePerTable:
         inject_tables(monkeypatch, tables)
         projector = pauli_synthesize(PauliExpansion(n=2, coeffs=tables[1]))
 
-        message = "outcome 1 coefficients do not synthesize a rank-1 projector"
+        message = (
+            "outcome 1 coefficients do not synthesize a rank-1 projector: "
+            "not idempotent, max|P1^2 - P1| = 0.312 exceeds tolerance 1e-12"
+        )
         with pytest.raises(ScenarioConsistencyError) as exc:
             eta_basis()
         assert str(exc.value) == message
