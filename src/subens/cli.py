@@ -50,22 +50,34 @@ def _blame(where: str):
 
 # every byte but the brackets: deleting them leaves a document's nesting
 _NOT_BRACKETS = bytes(range(256)).translate(None, b"[]")
+# the bytes of JSON numbers, commas and whitespace
+_NUMBERS = b"0123456789+-.eE, \t\n\r"
 
 
-def _shallow(data: bytes) -> bool:
-    """True iff data holds no '"' and its brackets balance within three levels, the
-    depth of a valid state or basis file (rows, entries, [re, im]). Each pass deletes
-    the innermost [] pairs, so only such a nesting is gone after three passes."""
-    if b'"' in data:
-        return False
-    nesting = data.translate(None, _NOT_BRACKETS)
+def _scan(data: bytes) -> tuple[bool, bool]:
+    """(shallow, numbers_only) for data, the bytes of a file, from one pass over them.
+
+    shallow: data holds no '"' and its brackets balance within three levels, the
+    depth of a valid state or basis file (rows, entries, [re, im]). Each pass
+    deletes the innermost [] pairs, so only such a nesting is gone after three.
+
+    numbers_only: deleting the bytes of numbers, commas and whitespace leaves only
+    brackets, so any document parsed from data holds nothing but arrays and numbers:
+    no string, true, false, null, object, NaN or Infinity.
+    """
+    rest = data.translate(None, _NUMBERS)
+    if b'"' in rest:
+        return False, False
+    nesting = rest.translate(None, _NOT_BRACKETS)
+    numbers_only = len(nesting) == len(rest)
     for _ in range(3):
         nesting = nesting.replace(b"[]", b"")
-    return not nesting
+    return not nesting, numbers_only
 
 
 def _document(data: bytes):
-    """The JSON document in data, the bytes of a file.
+    """The JSON document in data, the bytes of a file, and whether it is proven to
+    hold only arrays and numbers (numbers_only of _scan).
 
     A shallow document is parsed by orjson, which reads each number to the
     double json gives, bit for bit; orjson never sees a deep one, on which it
@@ -73,27 +85,29 @@ def _document(data: bytes):
     from the text open(..., encoding="utf-8") would give, so that a rejection
     keeps json's wording and positions.
     """
-    if _shallow(data):
+    shallow, numbers_only = _scan(data)
+    if shallow:
         try:
-            return orjson.loads(data)
+            return orjson.loads(data), numbers_only
         except orjson.JSONDecodeError:
             pass
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh), numbers_only
 
 
 def _read(path: str, parse):
-    """parse(document) of the JSON file at path; a failure to open, decode or
-    convert it is an InputFileError naming the path. The cyclic collector is paused
-    meanwhile and restored as found: a JSON document holds no cycles, so its passes
-    would free nothing, and the document never leaves this function."""
+    """parse(document, numbers_only) of the JSON file at path, as _document gives
+    both; a failure to open, decode or convert it is an InputFileError naming the
+    path. The cyclic collector is paused meanwhile and restored as found: a JSON
+    document holds no cycles, so its passes would free nothing, and the document
+    never leaves this function."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path, "rb") as fh:
             data = fh.read()
         try:
-            document = _document(data)
+            document, numbers_only = _document(data)
         except UnicodeDecodeError as exc:
             raise InputFileError(f"{path} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -103,7 +117,7 @@ def _read(path: str, parse):
         except RecursionError as exc:
             raise InputFileError(f"{path} nests arrays too deeply to read") from exc
         with _blame(path):
-            return parse(document)
+            return parse(document, numbers_only)
     except (OSError, ValueError) as exc:  # open raises ValueError on a NUL byte in path
         raise InputFileError(f"cannot read {path}: {exc}") from exc
     finally:
@@ -111,19 +125,22 @@ def _read(path: str, parse):
             gc.enable()
 
 
-def _state_from_json(data):
+def _state_from_json(data, numbers_only: bool):
     """A ket if the first number lies two arrays deep, otherwise a matrix."""
     first, depth = data, 0
     while isinstance(first, list) and first:
         first, depth = first[0], depth + 1
-    return ket_from_json(data) if depth == 2 else matrix_from_json(data)
+    ndim, loader = (1, ket_from_json) if depth == 2 else (2, matrix_from_json)
+    state = _complex_array(data, ndim, numbers_only)
+    # the loader words a rejection
+    return loader(data) if state is None else state
 
 
 def _load_basis(source: str, dim: int):
-    def parse(data):
+    def parse(data, numbers_only):
         if not isinstance(data, list):
             raise InputFileError(f"{source}: basis file must be an array of kets")
-        kets = _complex_array(data, 2)
+        kets = _complex_array(data, 2, numbers_only)
         if kets is None:  # walk the kets only to word a rejection
             kets = []
             for i, k in enumerate(data):

@@ -232,21 +232,35 @@ def projector_from_ket(ket) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _complex_array(data, ndim: int) -> np.ndarray | None:
+def _complex_array(data, ndim: int, numbers_only: bool = False) -> np.ndarray | None:
     """The complex entries of data, a d**ndim array of [re, im] pairs of JSON
-    numbers; None if data is anything else."""
+    numbers; None if data is anything else.
+
+    numbers_only promises that data holds nothing but lists, ints and floats, as
+    the CLI's reader proves from a file's bytes; then no type is checked: len()
+    raises on a number where a list belongs, and the conversion on a list where a
+    number belongs.
+    """
     items = [data]
     width = len(data) if type(data) is list else -1
-    for n in (width,) * ndim + (2,):  # each level: lists of the same length
-        if set(map(type, items)) != {list} or set(map(len, items)) != {n}:
-            return None
-        items = list(itertools.chain.from_iterable(items))
-    # exact types, since dtype=float also reads true, "1" and null as 1.0, 1.0 and nan
-    if not set(map(type, items)) <= {int, float}:
-        return None
     try:
-        a = np.array(items, dtype=float)
-    except OverflowError:  # an integer beyond a double
+        for level, n in enumerate((width,) * ndim + (2,)):  # lists of one length each
+            lists = numbers_only or set(map(type, items)) == {list}
+            if not lists or set(map(len, items)) != {n}:
+                return None
+            if level < ndim:
+                items = list(itertools.chain.from_iterable(items))
+        leaves = itertools.chain.from_iterable(items)
+        if numbers_only:
+            a = np.fromiter(leaves, float, 2 * len(items))
+        else:
+            leaves = list(leaves)
+            # exact types, since dtype=float also reads true, "1" and null as 1.0, 1.0 and nan
+            if not set(map(type, leaves)) <= {int, float}:
+                return None
+            a = np.array(leaves, dtype=float)
+    # a number where a list belongs, a list where a number belongs, an integer beyond a double
+    except (TypeError, ValueError, OverflowError):
         return None
     # the bits of each re and im as read: no arithmetic, so -0.0 and inf survive
     return a.reshape((width,) * ndim + (2,)).view(complex)[..., 0]

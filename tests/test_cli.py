@@ -707,7 +707,7 @@ class TestCollectorState:
         # either parser may read a file: orjson a shallow file of numbers, json the rest
         for module, name in ((orjson, "loads"), (json, "load")):
             watch(module, name, "parse")
-        for name in ("matrix_from_json", "basis_from_kets"):
+        for name in ("_state_from_json", "basis_from_kets"):
             watch(cli, name, name)
         argv = ["mh", "--state", str(state_path), "--basis-a", str(basis_path), "--basis-b", "X"]
         was = gc.isenabled()
@@ -718,7 +718,7 @@ class TestCollectorState:
             (gc.enable if was else gc.disable)()
         assert seen == [
             ("parse", False),
-            ("matrix_from_json", False),
+            ("_state_from_json", False),
             ("parse", False),
             ("basis_from_kets", False),
         ]

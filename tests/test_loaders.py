@@ -5,6 +5,12 @@ Every generated document is written to a file and read once as the state of
 the command must exit 0 or 3, print nothing on stdout when it exits 3, and
 let no exception escape ``cli.main``. Well-formed ``[re, im]`` data must load
 bit for bit as ``complex(re, im)`` gives it.
+
+The reader proves from a file's bytes that its document holds only arrays and
+numbers (``cli._scan``), and the loaders then skip the check of each leaf's
+type. The proof must never pass a document with any other leaf, and a file
+must read to the same array bits or the same error line with the proof as
+without it.
 """
 
 import io
@@ -13,9 +19,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from subens import cli
 from subens.cli import main
 from subens.operators import _complex_array, ket_from_json, matrix_from_json
 
@@ -117,31 +124,65 @@ finite_ints = st.integers(min_value=-(2**1000), max_value=2**1000)
 well_formed_pairs = st.lists(st.one_of(st.floats(), finite_ints), min_size=2, max_size=2)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=1, max_value=4).flatmap(
+well_formed_kets = st.lists(well_formed_pairs, min_size=1, max_size=6)
+well_formed_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda d: st.lists(
         st.lists(well_formed_pairs, min_size=d, max_size=d), min_size=d, max_size=d
     )
-))
+)
+well_formed_arrays = st.one_of(well_formed_kets, well_formed_matrices)
+
+
+@settings(max_examples=100, deadline=None)
+@given(well_formed_matrices)
 def test_matrix_loads_exactly_as_complex_gives_it(rows):
     want = [[complex(re, im) for re, im in row] for row in rows]
     assert np.array_equal(bits(matrix_from_json(rows)), bits(want))
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(well_formed_pairs, min_size=1, max_size=6))
+@given(well_formed_kets)
 def test_ket_loads_exactly_as_complex_gives_it(amplitudes):
     want = [complex(re, im) for re, im in amplitudes]
     assert np.array_equal(bits(ket_from_json(amplitudes)), bits(want))
 
 
-def assert_same_complex_array(data, ndim):
-    got, want = _complex_array(data, ndim), reference_complex_array(data, ndim)
-    if want is None:
-        assert got is None
+def proven(text: bytes) -> bool:
+    """Whether the reader's byte proof holds for the text of a file."""
+    return cli._scan(text)[1]
+
+
+def leaves_of(data):
+    if isinstance(data, list):
+        for item in data:
+            yield from leaves_of(item)
     else:
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        yield data
+
+
+@settings(max_examples=500, deadline=None)
+@given(anything)
+@example(float("nan"))
+@example([float("inf"), 1])
+@example([[-float("inf"), 0]])
+@example([True, False, None])
+@example(["1", {}])
+def test_bytes_that_pass_the_proof_hold_only_arrays_and_numbers(data):
+    text = json.dumps(data).encode()
+    if proven(text):
+        assert {type(leaf) for leaf in leaves_of(json.loads(text))} <= {int, float}
+
+
+def assert_same_complex_array(data, ndim):
+    want = reference_complex_array(data, ndim)
+    # a second time with the proof asserted, when the document's bytes pass it
+    for numbers_only in (False, True) if proven(json.dumps(data).encode()) else (False,):
+        got = _complex_array(data, ndim, numbers_only)
+        if want is None:
+            assert got is None
+        else:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -151,41 +192,121 @@ def test_complex_array_matches_the_two_pass_reference(data):
         assert_same_complex_array(data, ndim)
 
 
+FIXED_CASES = {
+    "true": True,
+    "string": "1",
+    "null": None,
+    "int-beyond-double": 10**400,
+    "ragged-rows": [[[1, 0], [0, 0]], [[0, 0]]],
+    "pair-of-three": [[1, 2, 3]],
+    "bare-three": [1, 2, 3],
+    "negative-zero": [[-0.0, -0.0]],
+    "inf": [[float("inf"), float("-inf")]],
+    "empty": [],
+    "empty-in-empty": [[]],
+    "bare-pair": [1.5, -0.0],
+    "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+    "matrix-with-int-beyond-double": [[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]],
+}
+
+
 @pytest.mark.parametrize("ndim", [0, 1, 2])
-@pytest.mark.parametrize(
-    "data",
-    [
-        True,
-        "1",
-        None,
-        10**400,
-        [[[1, 0], [0, 0]], [[0, 0]]],
-        [[1, 2, 3]],
-        [1, 2, 3],
-        [[-0.0, -0.0]],
-        [[float("inf"), float("-inf")]],
-        [],
-        [[]],
-        [1.5, -0.0],
-        [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
-        [[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]],
-    ],
-    ids=[
-        "true",
-        "string",
-        "null",
-        "int-beyond-double",
-        "ragged-rows",
-        "pair-of-three",
-        "bare-three",
-        "negative-zero",
-        "inf",
-        "empty",
-        "empty-in-empty",
-        "bare-pair",
-        "matrix",
-        "matrix-with-int-beyond-double",
-    ],
-)
+@pytest.mark.parametrize("data", FIXED_CASES.values(), ids=FIXED_CASES.keys())
 def test_complex_array_fixed_cases_match_the_reference(data, ndim):
     assert_same_complex_array(data, ndim)
+
+
+# files of numbers spelled as json.dumps never writes them; all but the last pass the proof
+SPELLED_FILES = {
+    "upper-exponent": b"[[1E5, 0], [0, 0]]",
+    "negative-zero-int": b"[[-0, -0], [1, 0]]",
+    "underflow": b"[[[1e-400, 0], [0, 0]], [[0, 0], [1, 0]]]",
+    "25-digit-int": b"[[1234567890123456789012345, 0], [0, -9999999999999999999999999]]",
+    "overflow-to-inf": b"[[1e400, 0], [0, 0]]",
+    "crlf-and-tab": b"[[[1,\t0],\r\n[0, 0]],\r\n\t[[0, 0],\t[0, 0]]]\r\n",
+    "int-beyond-double": b"[[1" + b"0" * 400 + b", 0], [0, 0]]",
+    "int-past-the-digit-limit": b"[[1" + b"0" * 4999 + b", 0], [0, 0]]",
+    "array-for-a-number": b"[[1, [0]], [0, 0]]",
+    "number-for-a-pair": b"[[[1, 0], 0], [[0, 0], [0, 0]]]",
+    "number-for-a-row": b"[[[1, 0], [0, 0]], 5]",
+    "one-level-too-deep": b"[[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]",
+    "bare-number": b"5",
+    "empty-file": b"",
+    "truncated": b"[[1, 0], [0, 0]",
+    "double-minus": b"[[--1, 0], [0, 0]]",
+    "true": b"[[1, 0], [0, true]]",
+}
+
+
+def outcome(load):
+    """The bits of what load() returns, or its error line."""
+    try:
+        a = load()
+    except cli.InputFileError as exc:
+        return f"error: {exc}"
+    return a.shape, a.tobytes()
+
+
+def assert_same_with_and_without_the_proof(path):
+    """The file at path read as a state and as a basis, with the reader's proof
+    and with a proof that never holds, gives the same bits or error lines."""
+    loads = (
+        lambda: cli._read(str(path), cli._state_from_json),
+        lambda: cli._load_basis(str(path), 2).matrix,
+    )
+    got = [outcome(load) for load in loads]
+    scan = cli._scan
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_scan", lambda data: (scan(data)[0], False))
+        want = [outcome(load) for load in loads]
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [json.dumps(data).encode() for data in FIXED_CASES.values()] + list(SPELLED_FILES.values()),
+    ids=[f"dumped-{name}" for name in FIXED_CASES] + list(SPELLED_FILES),
+)
+def test_fixed_files_read_the_same_without_the_proof(workdir, text):
+    path = workdir / "fixed.json"
+    path.write_bytes(text)
+    assert_same_with_and_without_the_proof(path)
+
+
+def test_spelled_files_pass_the_proof():
+    assert [name for name, text in SPELLED_FILES.items() if not proven(text)] == ["true"]
+
+
+number_tokens = st.one_of(
+    numbers.map(json.dumps),
+    st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+    st.sampled_from(
+        ["1E5", "-0", "1e-400", "1e400", "-0.0E+0", "2.5e-3", "1234567890123456789012345"]
+    ),
+)
+
+
+@st.composite
+def files(draw):
+    """The bytes of a file: a document as json.dumps writes it, or with each
+    number respelled by a token json.dumps may never write, between separators
+    that hold CRLF and tabs."""
+    data = draw(st.one_of(documents, well_formed_arrays))
+    if draw(st.booleans()):
+        return json.dumps(data).encode()
+    separator = draw(st.sampled_from([",", ", ", ",\r\n", "\t,\t", " ,\r\n\t"]))
+
+    def write(item):
+        if isinstance(item, list):
+            return "[" + separator.join(map(write, item)) + "]"
+        return draw(number_tokens) if type(item) in (int, float) else json.dumps(item)
+
+    return write(data).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(files())
+def test_reader_gives_the_same_with_and_without_the_proof(workdir, text):
+    path = workdir / "spelled.json"
+    path.write_bytes(text)
+    assert_same_with_and_without_the_proof(path)
