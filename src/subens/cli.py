@@ -48,66 +48,57 @@ def _blame(where: str):
         raise InputFileError(f"{where}: {exc}") from exc
 
 
-# every byte but the brackets: deleting them leaves a document's nesting
-_NOT_BRACKETS = bytes(range(256)).translate(None, b"[]")
 # the bytes of JSON numbers, commas and whitespace
 _NUMBERS = b"0123456789+-.eE, \t\n\r"
 
 
-def _scan(data: bytes) -> tuple[bool, bool]:
-    """(shallow, numbers_only) for data, the bytes of a file, from one pass over them.
+def _proven(data: bytes) -> bool:
+    """Whether data, the bytes of a file, holds only numbers, commas, whitespace and
+    brackets that balance within three levels, the depth of a valid state or basis
+    file (rows, entries, [re, im]). Each pass deletes the innermost [] pairs, so
+    only such a nesting is gone after three.
 
-    shallow: data holds no '"' and its brackets balance within three levels, the
-    depth of a valid state or basis file (rows, entries, [re, im]). Each pass
-    deletes the innermost [] pairs, so only such a nesting is gone after three.
-
-    numbers_only: deleting the bytes of numbers, commas and whitespace leaves only
-    brackets, so any document parsed from data holds nothing but arrays and numbers:
+    Any document parsed from proven bytes holds nothing but arrays and numbers:
     no string, true, false, null, object, NaN or Infinity.
     """
-    rest = data.translate(None, _NUMBERS)
-    if b'"' in rest:
-        return False, False
-    nesting = rest.translate(None, _NOT_BRACKETS)
-    numbers_only = len(nesting) == len(rest)
+    nesting = data.translate(None, _NUMBERS)
     for _ in range(3):
         nesting = nesting.replace(b"[]", b"")
-    return not nesting, numbers_only
+    return not nesting
 
 
-def _document(data: bytes):
-    """The JSON document in data, the bytes of a file, and whether it is proven to
-    hold only arrays and numbers (numbers_only of _scan).
+def _document(data: bytes, proven: bool):
+    """The JSON document in data, the bytes of a file.
 
-    A shallow document is parsed by orjson, which reads each number to the
-    double json gives, bit for bit; orjson never sees a deep one, on which it
-    can crash. Anything else, and anything orjson refuses, is parsed by json
-    from the text open(..., encoding="utf-8") would give, so that a rejection
-    keeps json's wording and positions.
+    Proven bytes are parsed by orjson, which reads each number to the double
+    json gives, bit for bit; orjson never sees a deep document, on which it can
+    crash. Anything else, and anything orjson refuses, is parsed by json from
+    the text open(..., encoding="utf-8") would give, so that a rejection keeps
+    json's wording and positions.
     """
-    shallow, numbers_only = _scan(data)
-    if shallow:
+    if proven:
         try:
-            return orjson.loads(data), numbers_only
+            return orjson.loads(data)
         except orjson.JSONDecodeError:
             pass
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
-        return json.load(fh), numbers_only
+        return json.load(fh)
 
 
 def _read(path: str, parse):
-    """parse(document, numbers_only) of the JSON file at path, as _document gives
-    both; a failure to open, decode or convert it is an InputFileError naming the
-    path. The cyclic collector is paused meanwhile and restored as found: a JSON
-    document holds no cycles, so its passes would free nothing, and the document
-    never leaves this function."""
+    """parse(document, proven) of the JSON file at path, as _proven and _document
+    give them; a failure to open, decode or convert it is an InputFileError naming
+    the path. The cyclic collector is paused meanwhile and restored as found: a
+    JSON document holds no cycles, so its passes would free nothing, and the
+    document never leaves this function."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path, "rb") as fh:
             data = fh.read()
+        proven = _proven(data)
         try:
-            document, numbers_only = _document(data)
+            document = _document(data, proven)
         except UnicodeDecodeError as exc:
             raise InputFileError(f"{path} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -117,7 +108,7 @@ def _read(path: str, parse):
         except RecursionError as exc:
             raise InputFileError(f"{path} nests arrays too deeply to read") from exc
         with _blame(path):
-            return parse(document, numbers_only)
+            return parse(document, proven)
     except (OSError, ValueError) as exc:  # open raises ValueError on a NUL byte in path
         raise InputFileError(f"cannot read {path}: {exc}") from exc
     finally:
@@ -125,23 +116,23 @@ def _read(path: str, parse):
             gc.enable()
 
 
-def _state_from_json(data, numbers_only: bool):
+def _state_from_json(data, proven: bool):
     """A ket if the first number lies two arrays deep, otherwise a matrix."""
     first, depth = data, 0
     while isinstance(first, list) and first:
         first, depth = first[0], depth + 1
     ndim, loader = (1, ket_from_json) if depth == 2 else (2, matrix_from_json)
-    state = _complex_array(data, ndim, numbers_only)
-    # the loader words a rejection
+    state = _complex_array(data, ndim, numbers_only=True) if proven else None
+    # the loader converts any other document, or words its rejection
     return loader(data) if state is None else state
 
 
 def _load_basis(source: str, dim: int):
-    def parse(data, numbers_only):
+    def parse(data, proven):
         if not isinstance(data, list):
             raise InputFileError(f"{source}: basis file must be an array of kets")
-        kets = _complex_array(data, 2, numbers_only)
-        if kets is None:  # walk the kets only to word a rejection
+        kets = _complex_array(data, 2, numbers_only=True) if proven else None
+        if kets is None:  # convert ket by ket, or word a rejection
             kets = []
             for i, k in enumerate(data):
                 with _blame(f"{source}: basis ket {i}"):
@@ -217,7 +208,7 @@ def _expansion_text(expansion) -> str:
     parts = []
     for s, c in expansion.coeffs.items():
         sign = "-" if c < 0 else "+"
-        parts.append(f"{sign}{fmt.format_float(abs(c), fmt.PRETTY_DIGITS)} {s}")
+        parts.append(f"{sign}{fmt.format_float(abs(c))} {s}")
     return " ".join(parts)
 
 
@@ -272,7 +263,7 @@ def _cmd_prob(args) -> None:
     def text():
         lines = [f"outcome probabilities for input {args.input}"]
         for i, p in zip(OUTCOMES, probs):
-            lines.append(f"outcome {i}: {fmt.format_float(p, fmt.PRETTY_DIGITS)}")
+            lines.append(f"outcome {i}: {fmt.format_float(p)}")
         return "\n".join(lines)
 
     _emit_scenario(args, lambda: {"input": args.input, "probabilities": probs}, rows, text)
@@ -336,7 +327,7 @@ def _cmd_verify(args) -> None:
             lines.append("")
             lines.append(
                 f"input {label}: excluded outcome {outcome}, "
-                f"Born probability {fmt.format_float(born, fmt.PRETTY_DIGITS)}"
+                f"Born probability {fmt.format_float(born)}"
             )
             contributors = ", ".join(_negative_rows(table, outcome)) or "none"
             lines.append(f"  negative contributors to outcome {outcome}: {contributors}")
@@ -379,10 +370,7 @@ def _cmd_decompose(args) -> None:
         name = basis.name or "custom"
         lines = [f"sub-ensemble decomposition over basis {name} (dim {basis.dim})"]
         for f, t in enumerate(terms):
-            lines.append(
-                f"outcome {f} ({basis.labels[f]}): "
-                f"weight {fmt.format_float(t.weight, fmt.PRETTY_DIGITS)}"
-            )
+            lines.append(f"outcome {f} ({basis.labels[f]}): weight {fmt.format_float(t.weight)}")
             lines += _matrix_lines(t.operator)
         return "\n".join(lines)
 

@@ -30,7 +30,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-JSON_DIGITS = 17
 PRETTY_DIGITS = 6
 
 # Numbers in a document from which the kernel prints it faster than a % template;
@@ -52,12 +51,12 @@ def _check_finite(a: np.ndarray) -> None:
         raise ValueError(f"cannot serialize non-finite value {a[~finite][0]}")
 
 
-def format_float(x, digits: int = JSON_DIGITS) -> str:
-    """One number by the rule of ``_fill``, without the cost of an array."""
+def format_float(x) -> str:
+    """One number as pretty output prints it, without the cost of an array."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x}")
-    return f"%.{digits}g" % (x + 0.0)  # + 0.0 folds -0.0
+    return f"%.{PRETTY_DIGITS}g" % (x + 0.0)  # + 0.0 folds -0.0
 
 
 def _fill(template: str, cells) -> str:

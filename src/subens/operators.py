@@ -237,7 +237,7 @@ def _complex_array(data, ndim: int, numbers_only: bool = False) -> np.ndarray | 
     numbers; None if data is anything else.
 
     numbers_only promises that data holds nothing but lists, ints and floats, as
-    the CLI's reader proves from a file's bytes; then no type is checked: len()
+    ``cli._proven`` proves from a file's bytes; then no type is checked: len()
     raises on a number where a list belongs, and the conversion on a list where a
     number belongs.
     """

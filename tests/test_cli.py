@@ -704,7 +704,7 @@ class TestCollectorState:
 
             monkeypatch.setattr(module, name, watched)
 
-        # either parser may read a file: orjson a shallow file of numbers, json the rest
+        # either parser may read a file: orjson a proven file of numbers, json the rest
         for module, name in ((orjson, "loads"), (json, "load")):
             watch(module, name, "parse")
         for name in ("_state_from_json", "basis_from_kets"):

@@ -7,10 +7,11 @@ let no exception escape ``cli.main``. Well-formed ``[re, im]`` data must load
 bit for bit as ``complex(re, im)`` gives it.
 
 The reader proves from a file's bytes that its document holds only arrays and
-numbers (``cli._scan``), and the loaders then skip the check of each leaf's
-type. The proof must never pass a document with any other leaf, and a file
-must read to the same array bits or the same error line with the proof as
-without it.
+numbers, at most three deep (``cli._proven``). Proven bytes are parsed by
+orjson and converted without a check of each leaf's type; any other file is
+parsed by json and converted by the loaders. The proof must never pass a
+document with any other leaf or nesting, and a file must read to the same
+array bits or the same error line with the proof as without it.
 """
 
 import io
@@ -18,6 +19,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -149,7 +151,7 @@ def test_ket_loads_exactly_as_complex_gives_it(amplitudes):
 
 def proven(text: bytes) -> bool:
     """Whether the reader's byte proof holds for the text of a file."""
-    return cli._scan(text)[1]
+    return cli._proven(text)
 
 
 def leaves_of(data):
@@ -160,6 +162,15 @@ def leaves_of(data):
         yield data
 
 
+def depth(data) -> int:
+    return 1 + max(map(depth, data), default=0) if isinstance(data, list) else 0
+
+
+def doubles(data):
+    """data with each number spelled as the double the loaders convert it to."""
+    return [doubles(item) for item in data] if isinstance(data, list) else float(data).hex()
+
+
 @settings(max_examples=500, deadline=None)
 @given(anything)
 @example(float("nan"))
@@ -167,10 +178,22 @@ def leaves_of(data):
 @example([[-float("inf"), 0]])
 @example([True, False, None])
 @example(["1", {}])
+@example([[[[1, 0]]]])
+@example([[2**64, -(2**63) - 1], [10**400, 0]])
 def test_bytes_that_pass_the_proof_hold_only_arrays_and_numbers(data):
     text = json.dumps(data).encode()
     if proven(text):
-        assert {type(leaf) for leaf in leaves_of(json.loads(text))} <= {int, float}
+        document = json.loads(text)
+        assert {type(leaf) for leaf in leaves_of(document)} <= {int, float}
+        assert depth(document) <= 3
+        try:
+            fast = orjson.loads(text)
+        except orjson.JSONDecodeError:  # only a number past a double, which json reads
+            with pytest.raises(OverflowError):
+                doubles(document)
+        else:
+            # orjson reads an integer beyond 64 bits as a double, json as an int
+            assert doubles(fast) == doubles(document)
 
 
 def assert_same_complex_array(data, ndim):
@@ -216,7 +239,8 @@ def test_complex_array_fixed_cases_match_the_reference(data, ndim):
     assert_same_complex_array(data, ndim)
 
 
-# files of numbers spelled as json.dumps never writes them; all but the last pass the proof
+# files of numbers spelled as json.dumps never writes them; all pass the proof but
+# the one nested too deeply, the one that is cut short and the one holding true
 SPELLED_FILES = {
     "upper-exponent": b"[[1E5, 0], [0, 0]]",
     "negative-zero-int": b"[[-0, -0], [1, 0]]",
@@ -249,15 +273,15 @@ def outcome(load):
 
 def assert_same_with_and_without_the_proof(path):
     """The file at path read as a state and as a basis, with the reader's proof
-    and with a proof that never holds, gives the same bits or error lines."""
+    and with a proof that never holds, so that json parses it and the loaders
+    convert it, gives the same bits or error lines."""
     loads = (
         lambda: cli._read(str(path), cli._state_from_json),
         lambda: cli._load_basis(str(path), 2).matrix,
     )
     got = [outcome(load) for load in loads]
-    scan = cli._scan
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_scan", lambda data: (scan(data)[0], False))
+        patch.setattr(cli, "_proven", lambda data: False)
         want = [outcome(load) for load in loads]
     assert got == want
 
@@ -274,7 +298,53 @@ def test_fixed_files_read_the_same_without_the_proof(workdir, text):
 
 
 def test_spelled_files_pass_the_proof():
-    assert [name for name, text in SPELLED_FILES.items() if not proven(text)] == ["true"]
+    unproven = [name for name, text in SPELLED_FILES.items() if not proven(text)]
+    assert unproven == ["one-level-too-deep", "truncated", "true"]
+
+
+NON_FINITE = "density matrix has non-finite entries"
+
+
+# the bytes of a state file, whether orjson sees them, and the error line after the path
+UNPROVEN_FILES = {
+    "true": (b"[[true, 0], [0, 0]]", False, f": ket amplitude 0: {NOT_A_PAIR}"),
+    "null": (b"[[null, 0], [0, 0]]", False, f": ket amplitude 0: {NOT_A_PAIR}"),
+    "nan": (b"[[NaN, 0], [0, 0]]", False, f": {NON_FINITE}"),
+    "infinity": (b"[[Infinity, 0], [0, 0]]", False, f": {NON_FINITE}"),
+    "object": (b"[[1, 0], {}]", False, f": ket amplitude 1: {NOT_A_PAIR}"),
+    "bom": (
+        b"\xef\xbb\xbf[[1, 0], [0, 0]]",
+        False,
+        " is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0)",
+    ),
+    "form-feed": (
+        b"[[1, 0], [0, 0]]\f",
+        False,
+        " is not valid JSON: Extra data: line 1 column 17 (char 16)",
+    ),
+    # proven, but orjson refuses a number past a double; json then reads it as inf
+    "overflow-to-inf": (b"[[1e400, 0], [0, 0]]", True, f": {NON_FINITE}"),
+}
+
+
+@pytest.mark.parametrize(
+    "text, reaches_orjson, message", UNPROVEN_FILES.values(), ids=UNPROVEN_FILES.keys()
+)
+def test_only_proven_files_reach_orjson(workdir, monkeypatch, text, reaches_orjson, message):
+    path = workdir / "unproven.json"
+    path.write_bytes(text)
+    calls = []
+    loads = orjson.loads
+
+    def watched(data):
+        calls.append(data)
+        return loads(data)
+
+    monkeypatch.setattr(orjson, "loads", watched)
+    code, out, err = run_cli(["decompose", "--state", str(path), "--basis", "Z"])
+    assert calls == ([text] if reaches_orjson else [])
+    assert (code, out, err) == (3, "", f"error: {path}{message}\n")
 
 
 number_tokens = st.one_of(

@@ -1,10 +1,11 @@
 """orjson reads every JSON number to the double json reads.
 
-``cli._read`` parses a shallow file of numbers with ``orjson.loads`` and
-everything else with ``json.load``. The two must agree bit for bit on every
-number a state or basis file can hold, once converted as the loaders convert
-them (one ``np.array(..., dtype=float)``). The sweep below pins that for the
-installed orjson, so a release that rounds differently fails here.
+``cli._read`` parses a file its byte proof passes (``cli._proven``) with
+``orjson.loads`` and everything else with ``json.load``. The two must agree
+bit for bit on every number a state or basis file can hold, once converted
+as the loaders convert them (one ``np.array(..., dtype=float)``). The sweep
+below pins that for the installed orjson, so a release that rounds
+differently fails here.
 """
 
 import functools
