@@ -5,6 +5,7 @@ the injection of a defective scenario measurement."""
 
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -90,13 +91,32 @@ def reference_complex_array(data, ndim):
 # renderers in ``subens.fmt`` apply to whole arrays.
 
 
-def format_float(x, digits=17):
+def shortest(x: float) -> str:
+    """A finite x as JSON and CSV print it: the shortest digits that read back
+    as x, which repr finds, in fixed notation for 1e-5 <= |x| < 1e16 with at
+    least one digit after the point, and otherwise as d.ddde±N with no "+"
+    and no leading zeros in the exponent; -0.0 as 0.0."""
+    if x == 0.0:
+        return "0.0"
+    sign, digits, exponent = Decimal(repr(x)).as_tuple()
+    lead = exponent + len(digits) - 1  # the decimal exponent of the first digit
+    digits = "".join(map(str, digits)).rstrip("0")
+    minus = "-" if sign else ""
+    if -5 <= lead <= 15:
+        if lead < 0:
+            return f"{minus}0.{'0' * (-lead - 1)}{digits}"
+        return f"{minus}{digits[: lead + 1].ljust(lead + 1, '0')}.{digits[lead + 1 :] or '0'}"
+    return f"{minus}{digits[0]}{'.' * (len(digits) > 1)}{digits[1:]}e{lead}"
+
+
+def format_float(x, digits=None):
+    """x as JSON and CSV print it, or to that many digits as %g prints it."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x}")
     if x == 0.0:
         x = 0.0  # fold -0.0
-    return format(x, f".{digits}g")
+    return shortest(x) if digits is None else format(x, f".{digits}g")
 
 
 def format_complex(z):

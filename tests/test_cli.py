@@ -173,7 +173,7 @@ class TestVerify:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "input,excluded_outcome,born_probability,negative_rows"
-        assert lines[1] == "00,1,0,(0+;0-)|(0-;0+)"
+        assert lines[1] == "00,1,0.0,(0+;0-)|(0-;0+)"
         assert len(lines) == 5
 
     def test_corrupted_coefficient_fails(self, capsys, monkeypatch):
@@ -477,6 +477,28 @@ class TestMalformedInputs:
         assert out == ""
         assert "non-finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("which", ["state", "basis-a", "basis-b"])
+    def test_non_finite_file_prints_nothing(
+        self, capsys, zero_state, tmp_path, which, literal, fmt
+    ):
+        # orjson would print a NaN or an infinity that reached the renderer as null
+        path = tmp_path / "nonfinite.json"
+        if which == "state":
+            path.write_text(f"[[[{literal}, 0], [0, 0]], [[0, 0], [0, 0]]]")
+            files = [str(path), "Z", "X"]
+        else:
+            path.write_text(f"[[[1, 0], [0, 0]], [[0, 0], [{literal}, 0]]]")
+            files = [zero_state] + (["X", str(path)] if which == "basis-b" else [str(path), "X"])
+        for argv in (
+            ["decompose", "--state", files[0], "--basis", files[1 + (which == "basis-b")]],
+            ["mh", "--state", files[0], "--basis-a", files[1], "--basis-b", files[2]],
+        ):
+            code, out, err = run(capsys, argv + ["--format", fmt])
+            assert (code, out) == (3, "")
+            assert err.startswith("error: ") and "non-finite" in err and "null" not in err
 
     def test_basis_whose_products_overflow_is_rejected(self, capsys, zero_state, tmp_path):
         # V^H V holds inf - inf = nan, which no comparison with the tolerance rejects

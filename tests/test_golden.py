@@ -42,29 +42,29 @@ from subens.cli import main
 from helpers import exact, exact_dagger, exact_matmul
 
 GOLDEN = {
-    "decompose.mixed4.F.csv": "005381a0e576a38cd32246493b7027b4d23dda5de6294219eaf0c25efb8dba2d",
-    "decompose.mixed4.F.json": "b9344c03a45b29837563ee0f83f904f01e790416adedf9087f20ee0747b25e13",
+    "decompose.mixed4.F.csv": "5dc3a238c4136869e983f76b4e6b4b64187fe856d1a1443b6199723f41210922",
+    "decompose.mixed4.F.json": "6f03ae446ef8d4029ef8fd151e313e7f4bff636c8c5394e9e9ffee5f43b7d9a3",
     "decompose.mixed4.F.pretty": "ea4d340f590e2869d39750ed2de06a1f884b9d290ddbd09f4d0c9ff4794316d0",
-    "decompose.mixed4.U.csv": "290d87ce4a7483829561ebb52bad1d3a307bc7ca0c983693f3c0272dff301ea1",
-    "decompose.mixed4.U.json": "44e3d8416631e8468742d502ea2c364eb9e148e47dcbfb00583bfdcec452f5cb",
+    "decompose.mixed4.U.csv": "ad0d062bbb07b3b62c90119e62289df5981c68cdc2eddb8a5346699c6a795e88",
+    "decompose.mixed4.U.json": "c2417b19155aafdfd586879c0de3c7d0d56f9d614aa36d6f6f2ebe67cc720d80",
     "decompose.mixed4.U.pretty": "b698a3766dda38e0fa0338b90a376e176844667dba03918e33f675f9ac74ea31",
-    "decompose.plus.X.csv": "3c9b9cd8fbb83195b669ea9e748bfd84b9a5240c7ebf3826e481e25d393013e7",
-    "decompose.plus.X.json": "1947cadcc552c064df10cdd84a249d70483cc553d9667d331dd0f2129a2dc0a3",
+    "decompose.plus.X.csv": "446999c04539f88274452ff37298b514d68a88493d9be5380ab7c277252f06bf",
+    "decompose.plus.X.json": "559df20a7d4b378c9e3b0b3952f7d3f29b33e32309c4f2a400c85be0939962c9",
     "decompose.plus.X.pretty": "575dde7b8719d29cb7dddbf10e16d58ad70ec5d453ff97f0f824255a7c334133",
-    "decompose.plus.Z.csv": "d6f3bcdc650c25b7dba0642c0ed3c5930b5b1451ce94a0649c2cfd0b6118c1f7",
-    "decompose.plus.Z.json": "8a21ca18a066905719fc85a07992a898d000a17ef7c4165736950b9099445e0d",
+    "decompose.plus.Z.csv": "bb85023ccaf21dbbce23af645184f967532a8b84ab529a78706936aaa0d82cc4",
+    "decompose.plus.Z.json": "a4bf19eb08b89776fa9112716b49be4cf7ae88d7b5722a6b78c93bd9c47a5292",
     "decompose.plus.Z.pretty": "f4b3a3057730d002e8aebf3174bbf528c9b44710972895392363065a528cec24",
-    "decompose.zero.X.csv": "520ec8613b30590852b17de4c299243d7bba90b0a28141ab51d99e5b428fea54",
-    "decompose.zero.X.json": "bf14ef22b8dd31e0efe6f97efc0405de214b11760a724b0f8fc322fe01c8d8c4",
+    "decompose.zero.X.csv": "0fe109706571eb2b3b04c7a3a614671dc55e8ebba1f0dc1f50783a04d92f9f7a",
+    "decompose.zero.X.json": "8045c062adadc7c200b3548cfafcd5f6cb2bb5107eeee8947f1f70c562c60c37",
     "decompose.zero.X.pretty": "c9188be15b2723c47ea18c0d7f34014c7b82a44da872ad20e2cad9295fb518a1",
-    "decompose.zero.Z.csv": "c154851c8e181d97181f28ae365999e0601e32284ab9aa221861657b29c59c5f",
-    "decompose.zero.Z.json": "2c9ffc229db4276a416012f85ff430b536a923341710b9ede16bbb644b0617a2",
+    "decompose.zero.Z.csv": "7658b2ad80597412d161ea3d022be57b26c44e0e26df0e113bdfcd2e47ab794e",
+    "decompose.zero.Z.json": "6baf2532230e53e4ebfded8343fbab0b6f31734a0b5f125f6bd9c8b2bc0cf1d3",
     "decompose.zero.Z.pretty": "e0010334ab4352b24057ac1e1c6251c482998c22f111176cde03863c3a9897ff",
-    "eta.csv": "30522f292c1313a62eb966a43ddb0febccdededb7e4386002eac002d031f6882",
-    "eta.json": "ee9720ac7f97bfcc0a0ad2af79a7ed40e43105a98cfbfc316ab50662883c506c",
+    "eta.csv": "8a22011f33adca288072dd20ab9b2639408afc149fb121ce087cdb2bdce1ef86",
+    "eta.json": "9d7655c7a29fbe00e5640b03fc99b644451c7795d3511c3169bb6aa7bc555a87",
     "eta.pretty": "7d4f62e4ed36906942cfd64d7efbfbe149893a4a4f3e1564bb55c4eb5d86a6bc",
-    "mh.mixed4.UF.csv": "ec208783beffd48016d9d2304d4e8a071ed7e13314a835c0985d2d03f79fce40",
-    "mh.mixed4.UF.json": "93abadc8c210578d67a9e44ab38cc19ff8cd843b70b5435e55dc4e05039f428a",
+    "mh.mixed4.UF.csv": "e14ed8051150edb988b5eb390952041ea6d8f9164cc72d9c44e7bacc19ab01b3",
+    "mh.mixed4.UF.json": "e60cac5ae779f9db470db26fd9b8c720d6bdd62853b285039873908c01ccef0f",
     "mh.mixed4.UF.pretty": "5a152d3628e737396529402a8ea6e2c35264dc53e94932e1c3211648e30e66f9",
     "mh.plus.XZ.csv": "f00f9beafbb82568019f608bce4ce627a3ac9301b98fc336f999bcf0f8dde238",
     "mh.plus.XZ.json": "3672371f0f519e7452f0c13724496905792bad5047aa7933748df404199aead5",
@@ -72,23 +72,23 @@ GOLDEN = {
     "mh.plus.ZX.csv": "0dfbf63f4078f59f79ca56d965fc9cef881f36e12a61440e3816dd3ce0206e31",
     "mh.plus.ZX.json": "8cc8a57dfe2a2064f77688efbbc0f3de0f4a2a3bee13b8feb930b3e06f11265c",
     "mh.plus.ZX.pretty": "72be7bc23c5907b45c9de4426071f15209a738195c039a7a1216ae2f23f26238",
-    "mh.zero.XZ.csv": "7551ff26ebcf7201a67cba94afd67e23e881cba81b6992f8129956c80d55c4b4",
-    "mh.zero.XZ.json": "d90b99d5b1bd2ac3b4139d07db4f6ccc2c0cc238054b8a8d713cc190010d5cf1",
+    "mh.zero.XZ.csv": "f0321fdeaebc7409fecb1b4efc4ace485c3cf71d9a734c458f6fa8a6b6699bb1",
+    "mh.zero.XZ.json": "76809dd354c7af2d757aa7113de009c670e6149e26699d5e059015f81d622b44",
     "mh.zero.XZ.pretty": "82f157a2fb36fdc7b12357b8cf3770e01fe2f90ec12bb029dbc9042cea7bb896",
-    "mh.zero.ZX.csv": "77015670a29afe033de270093f0cafae03dff4ac75db4f62a73009551d48a626",
-    "mh.zero.ZX.json": "126a389cc3a638e99791edd5090e4730f4836aa7d2aff7fd41a01ef0ba7f62dc",
+    "mh.zero.ZX.csv": "fbf1fd9237017dbc520faad7ebe1541587315bd9839583018e12aee04b6648b4",
+    "mh.zero.ZX.json": "470ca3d5f0e9eab534f9739e011bf430ad8a0f0d2b89cfe2b7be5b8e81b8d4e3",
     "mh.zero.ZX.pretty": "ae2cc244e5c2aea5df17f23efb7e1c9df0de231d38c8966638ad056091b83c27",
-    "prob.++.csv": "094c98b264bea7d71c5912c4de28e20277cb1e0e87376f61c2e9e94bf5214e3c",
-    "prob.++.json": "4e2fa3ba6bf7e4ddeb6594881ae954200df10f495ecd2326c73b561bda1f7eba",
+    "prob.++.csv": "29c26b20a7c32badf5dc39d0713b82a9110c77de55e19424aba9a281b310f637",
+    "prob.++.json": "ba11249afdda9ce946c6b5d91cadbb685c135255e152f793c05ebb4c736fa75b",
     "prob.++.pretty": "a74d3231221f8b72b2b46b265ce1c2968f56afb9f0c6b8098edccd4a0e7b69fa",
-    "prob.+0.csv": "0cee4c5bd4b68ea308a15e8004055a3b24825f27161de103ba870fc97137fbdf",
-    "prob.+0.json": "531da19b117742988d729e05eafc4b7d3b6fb796c72839794ee44c4cfa03cec3",
+    "prob.+0.csv": "837022136e5aca1ca5afd1aa206398d8d40d62965457832fdcf21a956d1f1825",
+    "prob.+0.json": "c243f07236e957bca684b93a63dc960bc538a6f6ae46d4c2e9b0443099edb632",
     "prob.+0.pretty": "640cbeb0c3eebb507831d2f0e402d5df03eef5753aa94e369051558c237fa3ee",
-    "prob.0+.csv": "9cd14bd4fb9733251e3b1c1a86f87f9dc13bb2fb14dfe7b94e08d4e0130bd42b",
-    "prob.0+.json": "4c38416279f21f7ddd84c7376e698994579ac105020834b1e632c59054aca640",
+    "prob.0+.csv": "f04a70ef15afc87cb0d4a8ebae31f7a6ca93ee1e34651a9519bb2a62a888e850",
+    "prob.0+.json": "34a973f86e1413d684d8a837707d4dfa6c6c03dc0d7fec31ac227b0cc9759ff3",
     "prob.0+.pretty": "3e8def44aa3bbcaafb28831a65064f70e11b4539a412b1279134252e0dcb8659",
-    "prob.00.csv": "b1d45d82e2dc2814685b83f55b3a87ce2b3b4597a6a10e511bc4578f0993e353",
-    "prob.00.json": "9c3117f73f6d3c155013a9768fe9b120e301bf02810bcd6e7df16cd0f4784ee7",
+    "prob.00.csv": "852ddb766701853574bae1228d46375dfe36b8712d759fc50edf468375702f8e",
+    "prob.00.json": "d645ce71f745c0bbada30617cb8cbe6cd83c8797e2851db10ab33b2123e48b86",
     "prob.00.pretty": "67f8e6f8ca54f76aa1ac89d5f8640a5bf41f13a55fa6633b916c8b4bf095311b",
     "table.++.csv": "68ef4376c7db2e3c4cf96d567f53d46f8d853d6b3d06469314db30c588130018",
     "table.++.json": "a7aa632d3b51ac7ec7191433312715b80eaa74f19dbb87d8c4ba4220d76bed0d",
@@ -102,8 +102,8 @@ GOLDEN = {
     "table.00.csv": "b0ba6f5f65b4131622cf4409f628c4d3f4174334b0f4bf1c0d9fbfc0be58c870",
     "table.00.json": "fc353a979d59050c964d936e21eac7ce2f4db66d016943c4adc4a0decf5303b0",
     "table.00.pretty": "fe3a560353c15e186674b0b9465b325650ce5c87d9e090d32255d480cfec6d8b",
-    "verify.csv": "8de816659b4603895a22a3520fc39c81e71d7cc05734f866b61935be4cdfc529",
-    "verify.json": "8475b75a91c49642d0cc910383b4ad904c2ee9754ec84efacb219ac0c9f12d63",
+    "verify.csv": "c93e5097e9336254579f22be225b10cc5b04e4dbf9e97472ea45dc0af8c6a434",
+    "verify.json": "9235e104c93502eaa0dedb4029452a82b3980719831a0c38d0fc910d920d3980",
     "verify.pretty": "251429a9c30405e46b3fc9ac70db27a618055a936bdccc1f2fc1ea6b2a8a11fd",
 }
 

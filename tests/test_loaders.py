@@ -14,6 +14,7 @@ document with any other leaf or nesting, and a file must read to the same
 array bits or the same error line with the proof as without it.
 """
 
+import functools
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -35,11 +36,20 @@ ZERO_DENSITY = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
 # st.floats() draws NaN, both infinities and -0.0 among the rest
 numbers = st.one_of(st.floats(), st.integers(min_value=-(10**400), max_value=10**400))
 leaves = st.one_of(numbers, st.booleans(), st.none(), st.text(max_size=3))
-anything = st.recursive(
-    leaves,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
-    max_leaves=12,
+# lists of numbers only, one to five deep: the byte proof must refuse those past three
+nested_numbers = st.integers(min_value=1, max_value=5).flatmap(
+    lambda depth: functools.reduce(
+        lambda inner, _: st.lists(inner, min_size=1, max_size=2), range(depth), numbers
+    )
+)
+anything = st.one_of(
+    st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+        max_leaves=12,
+    ),
+    nested_numbers,
 )
 pairs = st.lists(numbers, min_size=2, max_size=2)
 

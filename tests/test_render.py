@@ -6,13 +6,15 @@ by the reference in ``helpers``, over real and complex arrays of 0-3
 dimensions, empty ones included, with -0.0, the smallest subnormal, values
 near the largest double and integral floats among the entries.
 
-A JSON or CSV document of ``fmt.CROSSOVER`` numbers or more is printed by the
-vectorized 17-digit kernel, a smaller one by ``%``. The properties run on both
-paths, the kernel's with the crossover lowered to 1, and a seeded sweep and a
-property over arbitrary doubles hold the kernel to ``'%.17g' % x`` directly.
+JSON and CSV print each double through orjson as the shortest decimal that
+reads back as it. The reference spells ``repr``'s digits by the rule that the
+README states, so the properties pin orjson's digits and spelling as well as
+the layout. A seeded sweep of about 357k doubles and a property over
+arbitrary doubles hold every printed token to that rule directly, as
+``test_parser.py`` holds orjson's parsing to json's.
 """
 
-import contextlib
+import functools
 import json
 import re
 import tracemalloc
@@ -26,12 +28,14 @@ from hypothesis.extra import numpy as hnp
 import subens.cli as cli
 from subens import fmt
 
-from helpers import format_complex, format_float, reference_json, reference_table
+from helpers import format_complex, format_float, reference_json, reference_table, shortest
 
 RENDER_SETTINGS = settings(max_examples=150, deadline=None)
 
 values = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1.0, -2.0, 1e16, 0.1]),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1.0, -2.0, 1e16, 0.1, 1e-5, 9.9e-6]
+    ),
     st.floats(allow_nan=False, allow_infinity=False),
 )
 shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
@@ -52,23 +56,6 @@ square_matrices = complex_arrays(st.integers(1, 4).map(lambda d: (d, d)))
 tables = hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0), elements=values)
 
 
-@contextlib.contextmanager
-def printed_by(crossover):
-    """Print the documents of the block by the path whose crossover is given."""
-    saved, fmt.CROSSOVER = fmt.CROSSOVER, crossover
-    try:
-        yield
-    finally:
-        fmt.CROSSOVER = saved
-
-
-def both_paths():
-    """Run the block once by % (a document this small) and once by the kernel."""
-    for crossover in (fmt.CROSSOVER, 1):
-        with printed_by(crossover):
-            yield
-
-
 def real_entries(a):
     """The real numbers that stand for a, a complex entry as re then im."""
     return np.ascontiguousarray(a).view(float) if np.iscomplexobj(a) else a
@@ -77,11 +64,12 @@ def real_entries(a):
 @RENDER_SETTINGS
 @given(arrays)
 def test_dumps(a):
-    for _ in both_paths():
-        assert fmt.dumps(a) == reference_json(a)
-        assert fmt.dumps({"a": a}) == '{\n  "a": ' + reference_json(a, 1) + "\n}"
-        if not np.iscomplexobj(a):
-            assert fmt.dumps(a.tolist()) == reference_json(a)
+    assert fmt.dumps(a) == reference_json(a)
+    assert fmt.dumps({"a": a}) == '{\n  "a": ' + reference_json(a, 1) + "\n}"
+    # the transpose is not C-contiguous, which orjson refuses to read
+    assert fmt.dumps(a.T) == reference_json(a.T)
+    if not np.iscomplexobj(a):
+        assert fmt.dumps(a.tolist()) == reference_json(a)
 
 
 @RENDER_SETTINGS
@@ -90,10 +78,9 @@ def test_csv_line(a, x):
     cells = ["label", real_entries(a), 3, True, x]
     expected = ["label"] + [format_float(v) for v in real_entries(a).ravel()]
     line = ",".join(expected + ["3", "true", format_float(x)])
-    for _ in both_paths():
-        assert fmt.csv_line(cells) == line
-        three = "\n".join([line, "%s," + format_float(x), line])
-        assert fmt.csv_line(cells, ["%s", x], cells) == three
+    assert fmt.csv_line(cells) == line
+    three = "\n".join([line, "%s," + format_float(x), line])
+    assert fmt.csv_line(cells, ["%s", x], cells) == three
 
 
 @RENDER_SETTINGS
@@ -133,16 +120,40 @@ def test_non_finite_entry_is_named(a, data):
     else:
         flat.real[index] = bad
     message = "^" + re.escape(f"cannot serialize non-finite value {bad}") + "$"
-    for _ in both_paths():
-        with pytest.raises(ValueError, match=message):
-            fmt.dumps(a)
-        with pytest.raises(ValueError, match=message):
-            fmt.csv_line([real_entries(a)])
+    with pytest.raises(ValueError, match=message):
+        fmt.dumps(a)
+    with pytest.raises(ValueError, match=message):
+        fmt.dumps({"a": [1.0, a]})
+    with pytest.raises(ValueError, match=message):
+        fmt.csv_line([real_entries(a)])
     with pytest.raises(ValueError, match=message):
         fmt.render_table(["x"], [["x", real_entries(a)]])
     if np.iscomplexobj(a):
         with pytest.raises(ValueError, match=message):
             fmt.complex_cells(a)
+
+
+# orjson prints a non-finite float as null, and Python's json as NaN or Infinity
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), np.float64("nan"), np.float32("inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+def test_non_finite_scalar_is_named_and_nothing_prints(bad):
+    message = f"cannot serialize non-finite value {float(bad)}"
+    documents = [
+        lambda: fmt.dumps(bad),
+        lambda: fmt.dumps({"a": bad}),
+        lambda: fmt.dumps(["x", bad]),
+        lambda: fmt.dumps([1.0, bad]),  # a list of numbers is one array
+        lambda: fmt.dumps(np.array(bad)),
+        lambda: fmt.csv_line(["a", 1, bad]),
+        lambda: fmt.csv_line(["a"], [np.array([0.5, bad])]),
+        lambda: fmt.format_float(bad),
+    ]
+    for document in documents:
+        with pytest.raises(ValueError) as exc:
+            document()
+        assert str(exc.value) == message
 
 
 def test_non_finite_scalar_cell_is_named():
@@ -162,21 +173,35 @@ def test_empty_object_and_list():
     assert fmt.dumps({}) == "{}"
 
 
+def test_integer_lists_print_as_integers():
+    # as the outcome indices of table's outcomes and verify's negatives; a list
+    # with a float among its numbers is one array of doubles
+    doc = {"a": [1, 3], "b": (np.int64(2), 2**70), "c": [1, 0.5], "d": [[1, 2], [3, 4]]}
+    assert fmt.dumps(doc) == (
+        '{\n  "a": [1, 3],\n  "b": [2, 1180591620717411303424],\n  "c": [1.0, 0.5],\n'
+        '  "d": [\n    [1, 2],\n    [3, 4]\n  ]\n}'
+    )
+
+
 def test_first_non_finite_entry_in_order_is_named():
     later = np.array([[1.0, 2.0], [np.inf, np.nan]])
     doc = {"a": [0.5, -0.0], "b": {"c": later, "d": -np.inf}, "e": np.nan}
-    for _ in both_paths():
+    with pytest.raises(ValueError) as exc:
+        fmt.dumps(doc)
+    assert str(exc.value) == "cannot serialize non-finite value inf"
+    with pytest.raises(ValueError) as exc:
+        fmt.csv_line(["x", 1.0, later[0]], [later[1], -np.inf])
+    assert str(exc.value) == "cannot serialize non-finite value inf"
+    # whichever of a non-finite number and an object without JSON form comes first
+    for bad in (later, np.nan, [0.5, -np.inf]):
         with pytest.raises(ValueError) as exc:
-            fmt.dumps(doc)
-        assert str(exc.value) == "cannot serialize non-finite value inf"
-        with pytest.raises(ValueError) as exc:
-            fmt.csv_line(["x", 1.0, later[0]], [later[1], -np.inf])
-        assert str(exc.value) == "cannot serialize non-finite value inf"
-        # whichever of a non-finite number and an object without JSON form comes first
+            fmt.dumps([bad, object()])
+        assert str(exc.value).startswith("cannot serialize non-finite value ")
         with pytest.raises(ValueError):
-            fmt.dumps([later, object()])
-        with pytest.raises(TypeError):
-            fmt.dumps([object(), later])
+            fmt.dumps({"a": {"b": bad}, "c": object()})
+        with pytest.raises(TypeError) as exc:
+            fmt.dumps([object(), bad])
+        assert str(exc.value) == "cannot serialize object"
 
 
 # numpy scalars print as their Python counterparts, in every renderer
@@ -195,12 +220,11 @@ SCALARS = [
 
 @pytest.mark.parametrize(("scalar", "python"), SCALARS, ids=[repr(s) for s, _ in SCALARS])
 def test_numpy_scalars_print_as_python_ones(scalar, python):
-    for _ in both_paths():
-        assert fmt.dumps({"a": scalar}) == fmt.dumps({"a": python})
-        assert fmt.dumps([scalar, "x"]) == fmt.dumps([python, "x"])
-        assert fmt.csv_line(["a", scalar]) == fmt.csv_line(["a", python])
-        if not isinstance(python, bool):
-            assert fmt.dumps([scalar, 1.5]) == fmt.dumps([python, 1.5])
+    assert fmt.dumps({"a": scalar}) == fmt.dumps({"a": python})
+    assert fmt.dumps([scalar, "x"]) == fmt.dumps([python, "x"])
+    assert fmt.csv_line(["a", scalar]) == fmt.csv_line(["a", python])
+    if not isinstance(python, bool):
+        assert fmt.dumps([scalar, 1.5]) == fmt.dumps([python, 1.5])
 
 
 def test_numpy_scalars_print_their_values():
@@ -210,71 +234,124 @@ def test_numpy_scalars_print_their_values():
     )
 
 
+# The spelling rule, as the README states it: fixed notation with a digit on
+# each side of the point for 1e-5 <= |x| < 1e16, otherwise one digit, an
+# optional fraction and an exponent with neither "+" nor leading zeros.
+FIXED = re.compile(r"-?(?:0|[1-9][0-9]*)\.(?:0|[0-9]*[1-9])")
+EXPONENT = re.compile(r"-?[1-9](?:\.[0-9]*[1-9])?e-?[1-9][0-9]*")
+ZERO = "0.0"
+
+
+def significant_digits(tokens: list) -> np.ndarray:
+    """The digits of each decimal token from its first to its last nonzero one."""
+    mantissas = (t.partition("e")[0].replace(".", "").lstrip("-0").rstrip("0") for t in tokens)
+    return np.fromiter(map(len, mantissas), int, len(tokens))
+
+
+def spelling_faults(x: np.ndarray, tokens: list) -> list:
+    """(x, token) for each printed token of x that does not read back as
+    x bit for bit (-0.0 as 0.0), has more significant digits than repr, or
+    breaks the spelling rule; at most ten."""
+    x = x + 0.0
+    assert len(tokens) == len(x)
+    back = np.fromiter(map(float, tokens), float, len(x))
+    longer = significant_digits(tokens) > significant_digits(list(map(repr, x.tolist())))
+    faults = [np.flatnonzero(back.view(np.uint64) != x.view(np.uint64)), np.flatnonzero(longer)]
+    tokens = np.array(tokens, dtype=object)
+    fixed = (np.abs(x) >= 1e-5) & (np.abs(x) < 1e16)
+    for rule, where in ((FIXED, fixed), (EXPONENT, (x != 0) & ~fixed)):
+        # one match over all tokens of a kind; token by token only to name a fault
+        if not re.fullmatch(f"{rule.pattern}(?:,{rule.pattern})*", ",".join(tokens[where])):
+            faults.append([i for i in np.flatnonzero(where) if not rule.fullmatch(tokens[i])])
+    faults.append(np.flatnonzero((x == 0) & (tokens != ZERO)))
+    return [(x[i], tokens[i]) for i in np.concatenate(faults).astype(int)[:10]]
+
+
+@functools.cache
 def sweep():
-    """Doubles where a 17-digit printer goes wrong first: random bit patterns,
-    every decimal exponent, powers of ten and the doubles around them, 53-bit
-    integers scaled by 2^±80, subnormals, the extremes, both zeros, and the
-    switches of %g's style at 1e-5/1e-4 and 1e16/1e17."""
+    """About 357k doubles: random bit patterns, random magnitudes from 1e-310
+    to 1e308, the doubles around each power of ten, 53-bit integers scaled by
+    2^±80, subnormals, the extremes, both zeros, and the edges of the fixed
+    notation at 1e-5 and 1e16 with the doubles around them; each with both
+    signs."""
     rng = np.random.default_rng(20261019)
-    bits = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(float)
-    decades = [float(f"{m}e{e}") for e in range(-324, 309) for m in (1.5, 2.25, 9.875, 7.1)]
+    bits = rng.integers(0, 2**64, size=80000, dtype=np.uint64).view(float)
+    magnitudes = 10.0 ** rng.uniform(-310, 308.25, size=80000)
     tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
     around = (tens.view(np.int64)[:, None] + np.arange(-9, 10)).ravel().view(float)
     ints = rng.integers(-(2**53), 2**53, size=2000).astype(float)
-    subnormal = rng.integers(1, 2**52, size=500, dtype=np.uint64).view(float)
-    edges = [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
-    edges += [-1.7976931348623157e308, 0.0, -0.0, 0.5, 2.0**-25, 1.0, 123456789012345680.0]
-    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
-    switches = (switches.view(np.int64)[:, None] + np.arange(-40, 41)).ravel().view(float)
+    subnormal = rng.integers(1, 2**52, size=2000, dtype=np.uint64).view(float)
+    edges = [1e-5, 9.999999999999999e-6, 1e16, 5e-324, 2.2250738585072014e-308]
+    edges += [1.7976931348623157e308, -0.0, 0.0, 0.5, 1.0, 123456789012345680.0]
+    switches = np.array([1e-5, 1e16])
+    switches = (switches.view(np.int64)[:, None] + np.arange(-200, 201)).ravel().view(float)
     every = np.concatenate(
-        [bits, decades, around, ints * 2.0**80, ints * 2.0**-80, subnormal, edges, switches]
+        [bits, magnitudes, around, ints * 2.0**80, ints * 2.0**-80, subnormal, edges, switches]
     )
     every = every[np.isfinite(every)]
     return np.concatenate([every, -every])
 
 
-def test_kernel_prints_every_double_as_percent():
+def test_sweep_covers_every_kind_of_double():
     x = sweep()
-    assert len(x) > fmt.CROSSOVER
-    expected = ["%.17g" % (v + 0.0) for v in x.tolist()]  # -0.0 prints as 0
-    assert fmt.dumps(x)[1:-1].split(", ") == expected
-    assert fmt.csv_line([x]).split(",") == expected
-    # the text between the numbers, wider than any row takes, spliced in
-    assert fmt.csv_line(*([f"{i:40d}", v] for i, v in enumerate(x[:5000]))).split("\n") == [
-        f"{i:40d},{t}" for i, t in enumerate(expected[:5000])
-    ]
+    assert len(x) >= 350_000
+    edges = [1e-5, 9.999999999999999e-6, 1e16, 5e-324, 2.2250738585072014e-308]
+    edges += [1.7976931348623157e308]
+    assert set(edges) <= set(x.tolist())
+    assert np.signbit(x[x == 0]).any() and (np.abs(x[x != 0]) < 2.2250738585072014e-308).any()
+    assert np.abs(x).max() > 1e308 and (np.abs(x) < 1e-310).any()
+
+
+def test_every_double_prints_by_the_spelling_rule():
+    x = sweep()
+    assert spelling_faults(x, fmt.csv_line([x]).split(",")) == []
+    # the layout: JSON's rows are what CSV prints, joined with ", "
+    assert fmt.dumps(x)[1:-1] == fmt.csv_line([x]).replace(",", ", ")
+    # the reference spells repr's digits by the rule
+    assert fmt.dumps(x[::50]) == reference_json(x[::50])
+    # a scalar goes through orjson on its own
+    some = x[::41].tolist()
+    assert spelling_faults(np.array(some), fmt.csv_line(some).split(",")) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_any_doubles_print_by_the_spelling_rule(xs):
+    x = np.array(xs)
+    tokens = fmt.dumps(x)[1:-1].split(", ")
+    assert spelling_faults(x, tokens) == []
+    assert tokens == [shortest(v + 0.0) for v in xs]
+    assert fmt.csv_line(xs).split(",") == tokens
 
 
 def test_text_between_numbers_is_kept_whole():
-    # a NUL, which the compaction would drop, and characters of several UTF-8 bytes
-    x = np.random.default_rng(7).normal(size=2 * fmt.CROSSOVER)
-    for label in ("l\0b", "é", "%s", "\0" * 40):
+    # a NUL, characters of several UTF-8 bytes, a % and the orjson text's own
+    # brackets and commas, none of which may be read as layout
+    x = np.random.default_rng(7).normal(size=1280)
+    for label in ("l\0b", "é", "%s", "\0" * 40, "],[", ", "):
         rows = [[label, "ü" * (i % 5), v] for i, v in enumerate(x)]
         expected = "\n".join(
             f"{label},{'ü' * (i % 5)}," + format_float(v) for i, v in enumerate(x.tolist())
         )
-        for _ in both_paths():
-            assert fmt.csv_line(*rows) == expected
-            assert fmt.dumps({label: x}) == fmt.dumps({"k": x}).replace('"k"', json.dumps(label), 1)
+        assert fmt.csv_line(*rows) == expected
+        assert fmt.csv_line([label, x]) == ",".join([label] + [format_float(v) for v in x])
+        assert fmt.dumps({label: x}) == fmt.dumps({"k": x}).replace('"k"', json.dumps(label), 1)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
-def test_kernel_prints_any_doubles_as_percent(xs):
-    x = np.resize(np.array(xs), fmt.CROSSOVER + len(xs))
-    assert fmt.dumps(x)[1:-1].split(", ") == ["%.17g" % (v + 0.0) for v in x.tolist()]
+def test_cached_layout_is_read_only():
+    """The layout of an axis is cached across documents, so no caller may change it."""
+    fmt.dumps(np.zeros((2, 2, 2)))
+    for layers in [(("[", ", ", "]"),), (("[\n  ", ",\n  ", "\n]"), ("[", ", ", "]"))]:
+        heads, between, tails = fmt._frame(layers)
+        assert type(between) is tuple
+        assert isinstance(heads, str) and isinstance(tails, str)
+        assert all(isinstance(b, bytes) for b in between)
 
 
-def test_kernel_tables_are_read_only():
-    for table in fmt._tables():
-        assert not table.flags.writeable
-
-
-def test_kernel_memory_is_bounded():
-    """The kernel works in blocks, so a large document needs, beside its
-    text twice over while the blocks are joined, less than the 2.6 MB that a
-    tuple of its 82k numbers as Python floats takes."""
-    assert fmt._BLOCK <= 16384
+def test_printing_memory_is_bounded():
+    """A large document needs, beside its text twice over while its pieces are
+    joined, less than the 2.6 MB that a tuple of its 82k numbers as Python
+    floats takes."""
     rng = np.random.default_rng(5)
     q = np.linalg.qr(rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128)))[0]
     doc = {"basisA": q.T, "basisB": q.T, "q": rng.normal(size=(128, 128)) / 128}

@@ -413,10 +413,10 @@ class TestBuiltOncePerTable:
         assert scenario.ETA_EXPANSIONS == EXPECTED_EXPANSIONS
 
     def test_nothing_is_built_at_import(self):
-        # neither the scenario nor the tables of the 17-digit printer
+        # neither the scenario nor a layout of the JSON printer
         code = (
             "import subens.cli, subens.fmt as f, subens.scenario as s; "
-            "print(s._scenario.cache_info().currsize, f._tables.cache_info().currsize)"
+            "print(s._scenario.cache_info().currsize, f._frame.cache_info().currsize)"
         )
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (run.returncode, run.stdout, run.stderr) == (0, "0 0\n", "")
