@@ -20,7 +20,6 @@ __all__ = [
     "ATOL",
     "PauliExpansion",
     "almost_equal",
-    "is_projector",
     "pauli_expand",
     "pauli_matrix",
     "pauli_strings",
@@ -115,13 +114,6 @@ def symmetric_product(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     return 0.5 * (a @ b + b @ a)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing m @ m is not m
-def is_projector(m) -> bool:
-    """True iff m is Hermitian and idempotent within ATOL."""
-    m = _square(m)
-    return almost_equal(m, m.conj().T) and almost_equal(m @ m, m)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing p @ p is not p

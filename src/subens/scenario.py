@@ -104,7 +104,7 @@ def _build(tables) -> _Scenario:
     """Every result of the tables (outcome -> Pauli coefficients), checked, its arrays read-only."""
     expansions = tuple(PauliExpansion(n=2, coeffs=tables[i]) for i in OUTCOMES)
     projectors = np.stack([pauli_synthesize(e) for e in expansions])
-    densities = np.stack([product_input(*pair).density for pair in INPUT_PAIRS])
+    densities = np.stack([product_input(*pair) for pair in INPUT_PAIRS])
     # (outcome, input) Born matrix over INPUT_PAIRS, never clamped
     born = np.einsum("oij,nji->on", projectors, densities).real
     contributions = _contributions(projectors)
@@ -222,7 +222,7 @@ def eta_basis() -> EtaBasis:
 
 def outcome_probability(i: int, first: str, second: str) -> float:
     """Born probability of outcome i for the product input, never clamped."""
-    rho = product_input(first, second).density  # first, so a bad label wins over a bad i
+    rho = product_input(first, second)  # first, so a bad label wins over a bad i
     return float(np.trace(eta_projector(i) @ rho).real)
 
 

@@ -8,7 +8,6 @@ the four two-qubit product inputs written "00", "0+", "+0", "++".
 from __future__ import annotations
 
 __all__ = [
-    "ProductPreparation",
     "preparation_density",
     "product_input",
     "standard_ket",
@@ -16,7 +15,6 @@ __all__ = [
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,15 +56,9 @@ def preparation_density(label: str) -> np.ndarray:
         raise ValueError(f"unknown preparation label {label!r}; expected 0 or +") from None
 
 
-@dataclass(frozen=True, eq=False)
-class ProductPreparation:
-    """Two-system product preparation with density rho(first) x rho(second)."""
-
-    density: np.ndarray
-
-
 @functools.cache  # a bad label raises before anything is cached
-def product_input(first: str, second: str) -> ProductPreparation:
+def product_input(first: str, second: str) -> np.ndarray:
+    """Read-only density rho(first) x rho(second) of a two-system product preparation."""
     rho = np.kron(preparation_density(first), preparation_density(second))
     rho.setflags(write=False)
-    return ProductPreparation(density=rho)
+    return rho

@@ -26,8 +26,6 @@ __all__ = [
     "named_basis",
     "negativity",
     "validate_density",
-    "x_basis",
-    "z_basis",
 ]
 
 import functools
@@ -101,22 +99,17 @@ def basis_from_kets(kets, labels=None, name: str | None = None) -> MeasurementBa
     return MeasurementBasis(vectors=kets, labels=labels, name=name)
 
 
-@functools.cache
-def z_basis() -> MeasurementBasis:
-    return basis_from_kets([standard_ket("0"), standard_ket("1")], name="Z")
-
-
-@functools.cache
-def x_basis() -> MeasurementBasis:
-    return basis_from_kets([standard_ket("+"), standard_ket("-")], labels=("+", "-"), name="X")
-
-
 def named_basis(name: str) -> MeasurementBasis:
-    if name == "Z":
-        return z_basis()
-    if name == "X":
-        return x_basis()
-    raise ValueError(f"unknown basis name {name!r}; expected Z or X")
+    """The built-in Z basis (outcomes 0, 1) or X basis (outcomes +, -), built once per process."""
+    if name not in ("Z", "X"):  # before the cache, which would raise TypeError on a list
+        raise ValueError(f"unknown basis name {name!r}; expected Z or X")
+    return _built_in_basis(name)
+
+
+@functools.cache
+def _built_in_basis(name: str) -> MeasurementBasis:
+    labels = ("0", "1") if name == "Z" else ("+", "-")
+    return basis_from_kets([standard_ket(s) for s in labels], labels=labels, name=name)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads as a NaN or inf, rejected

@@ -16,12 +16,12 @@ from subens import (
     decompose,
     eta_basis,
     mh_joint,
+    named_basis,
     outcome_probability,
     preparation_density,
     product_input,
     projector_from_ket,
     standard_ket,
-    x_basis,
 )
 
 from helpers import random_basis, random_density
@@ -70,7 +70,7 @@ def test_zero_outcome_structure():
         assert sorted(basis.excluded_input) == [1, 2, 3, 4]
         assert len(set(basis.excluded_input.values())) == 4
         for i, pair in basis.excluded_input.items():
-            rho = product_input(*pair).density
+            rho = product_input(*pair)
             assert abs(np.trace(basis.projectors[i - 1] @ rho).real) <= TOL
 
 
@@ -101,7 +101,7 @@ def test_preparation_assignment_mixtures():
 def test_negativity_witness_eigenvalue():
     with _Gate("the (0,+) sub-ensemble of |0><0| has eigenvalue (1-sqrt(2))/4 (1e-9)"):
         rho = projector_from_ket(standard_ket("0"))
-        term = decompose(rho, x_basis())[0]
+        term = decompose(rho, named_basis("X"))[0]
         lowest = float(np.linalg.eigvalsh(term.operator)[0])
         assert abs(lowest - (1.0 - np.sqrt(2.0)) / 4.0) <= 1e-9
         assert lowest < 0

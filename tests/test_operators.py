@@ -11,7 +11,6 @@ from subens import (
     PauliExpansion,
     almost_equal,
     assignment_operator,
-    is_projector,
     pauli_expand,
     pauli_matrix,
     pauli_strings,
@@ -198,7 +197,6 @@ def _raised(call):
     ("call", "result"),
     [
         (lambda: almost_equal(_BIG, -_BIG), False),
-        (lambda: is_projector(_BIG), False),
         (
             lambda: _raised(lambda: assignment_operator(_BIG, _BIG)),
             "pa is not a rank-1 projector: not idempotent, max|pa^2 - pa| = inf "
@@ -210,7 +208,6 @@ def _raised(call):
     ],
     ids=[
         "almost-equal",
-        "is-projector",
         "assignment-operator",
         "symmetric-product",
         "projector-from-ket",
@@ -419,14 +416,6 @@ def test_expansion_rejects_bad_strings():
         PauliExpansion(n=1, coeffs={"XX": 1.0})
     with pytest.raises(ValueError, match="invalid Pauli string"):
         PauliExpansion(n=2, coeffs={"AB": 1.0})
-
-
-def test_is_projector_examples():
-    assert is_projector((I2 + Z) / 2)
-    assert is_projector(np.eye(2))
-    half_sum = 0.5 * (I2 + X + Z)
-    assert not is_projector(half_sum)
-    assert almost_equal(half_sum @ half_sum, 0.75 * I2 + 0.5 * X + 0.5 * Z)
 
 
 def test_matrix_json_round_trip():

@@ -26,16 +26,14 @@ from subens import (
     assignment_operator,
     basis_from_kets,
     decompose,
-    is_projector,
     mh_joint,
+    named_basis,
     negativity,
     pauli_expand,
     pauli_synthesize,
     projector_from_ket,
     symmetric_product,
     validate_density,
-    x_basis,
-    z_basis,
 )
 
 
@@ -48,7 +46,6 @@ def _coeffs(a, keep=lambda c: True):
 # call takes the drawn matrix a and the Hermitian matrix h read off it.
 RULED = {
     "almost_equal": [lambda a, h: almost_equal(a, h), lambda a, h: almost_equal(a, -a)],
-    "is_projector": [lambda a, h: is_projector(a), lambda a, h: is_projector(h)],
     "symmetric_product": [lambda a, h: symmetric_product(a, h)],
     "projector_from_ket": [lambda a, h: projector_from_ket(a[0])],
     "PauliExpansion": [lambda a, h: PauliExpansion(n=1, coeffs=_coeffs(a))],
@@ -63,8 +60,8 @@ RULED = {
     "basis_from_kets": [lambda a, h: basis_from_kets(a)],
     "MeasurementBasis": [lambda a, h: MeasurementBasis(a.T)],
     "validate_density": [lambda a, h: validate_density(h)],
-    "decompose": [lambda a, h: decompose(h, x_basis())],
-    "mh_joint": [lambda a, h: mh_joint(h, z_basis(), x_basis())],
+    "decompose": [lambda a, h: decompose(h, named_basis("X"))],
+    "mh_joint": [lambda a, h: mh_joint(h, named_basis("Z"), named_basis("X"))],
     "negativity": [lambda a, h: negativity(a), lambda a, h: negativity(a.real)],
     "JointQuasiDistribution": [
         lambda a, h: JointQuasiDistribution(a),
@@ -89,12 +86,9 @@ TAKES_NO_NUMBERS = {
     "named_basis": "takes a basis name",
     "eta_basis": "takes no argument",
     "verify_paradox": "takes no argument",
-    "x_basis": "takes no argument",
-    "z_basis": "takes no argument",
     "ContributionTable": "a record of the scenario build; stores its fields, computes nothing",
     "EtaBasis": "a record of the scenario build; stores its fields, computes nothing",
     "ParadoxReport": "a record of the scenario build; stores its fields, computes nothing",
-    "ProductPreparation": "a record of product_input; stores its density, computes nothing",
     "SubensembleOperator": "a record of decompose; stores its fields, computes nothing",
 }
 
@@ -145,5 +139,5 @@ def test_valid_state_with_a_subnormal_entry_is_not_rejected():
     rho = np.diag([1.0, 5e-324]).astype(complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert [t.weight for t in decompose(rho, z_basis())] == [1.0, 5e-324]
-        assert mh_joint(rho, z_basis(), x_basis()).q[1].tolist() == [5e-324, 5e-324]
+        assert [t.weight for t in decompose(rho, named_basis("Z"))] == [1.0, 5e-324]
+        assert mh_joint(rho, named_basis("Z"), named_basis("X")).q[1].tolist() == [5e-324, 5e-324]

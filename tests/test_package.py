@@ -14,7 +14,7 @@ MODULES = (operators, scenario, states, subensemble)
 
 def test_each_public_name_is_listed_once_by_its_module():
     listed = [name for module in MODULES for name in module.__all__]
-    assert len(listed) == len(set(listed)) == 35
+    assert len(listed) == len(set(listed)) == 31
     assert subens.__all__ == sorted(listed)
     for module in MODULES:
         for name in module.__all__:

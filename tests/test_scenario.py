@@ -18,7 +18,6 @@ from subens import (
     contribution_table,
     eta_basis,
     eta_projector,
-    is_projector,
     negativity,
     outcome_probability,
     pauli_expand,
@@ -30,6 +29,7 @@ from subens import (
     verify_paradox,
 )
 from subens.cli import main
+from subens.operators import _check_rank_one_projector
 
 from helpers import inject_tables, random_unitary
 
@@ -76,7 +76,7 @@ class TestEtaProjectors:
     @pytest.mark.parametrize("i", [1, 2, 3, 4])
     def test_rank_one_projector(self, i):
         p = eta_projector(i)
-        assert is_projector(p)
+        _check_rank_one_projector(p)
         assert np.trace(p).real == pytest.approx(1.0, abs=ATOL)
 
     def test_index_out_of_range(self):
@@ -106,7 +106,7 @@ class TestEtaBasis:
         assert basis.excluded_input == EXPECTED_EXCLUSIONS
         assert len(set(basis.excluded_input.values())) == 4
         for i, pair in EXPECTED_EXCLUSIONS.items():
-            born = np.trace(basis.projectors[i - 1] @ product_input(*pair).density).real
+            born = np.trace(basis.projectors[i - 1] @ product_input(*pair)).real
             assert abs(born) <= ATOL
 
     def test_stacks_are_the_build_arrays(self):
@@ -547,7 +547,7 @@ def haar_measurements(draw):
 
 def _born(projectors):
     """(outcome, input) Born probabilities, one trace per entry."""
-    densities = [product_input(*pair).density for pair in INPUTS]
+    densities = [product_input(*pair) for pair in INPUTS]
     return np.array([[np.trace(p @ rho).real for rho in densities] for p in projectors])
 
 

@@ -55,23 +55,33 @@ def _pauli_sum(terms):
     ],
 )
 def test_product_input_pauli_structure(first, second, terms):
-    prep = product_input(first, second)
-    assert almost_equal(prep.density, _pauli_sum(terms))
+    assert almost_equal(product_input(first, second), _pauli_sum(terms))
 
 
 def test_product_inputs_are_rank_one():
     for first in "0+":
         for second in "0+":
-            rho = product_input(first, second).density
+            rho = product_input(first, second)
             assert abs(np.trace(rho) - 1.0) <= ATOL
             vals = np.linalg.eigvalsh(rho)
             assert np.allclose(sorted(vals), [0, 0, 0, 1], atol=1e-12)
 
 
+@pytest.mark.parametrize("first,second", [("0", "0"), ("0", "+"), ("+", "0"), ("+", "+")])
+def test_product_input_is_the_read_only_kron_density(first, second):
+    rho = product_input(first, second)
+    assert type(rho) is np.ndarray
+    assert product_input(first, second) is rho
+    assert not rho.flags.writeable
+    expected = np.kron(preparation_density(first), preparation_density(second))
+    assert rho.dtype == expected.dtype
+    assert rho.tobytes() == expected.tobytes()  # bit for bit
+
+
 def test_product_input_is_built_once_per_pair():
-    prep = product_input("0", "+")
-    assert product_input("0", "+") is prep
-    assert not prep.density.flags.writeable
+    rho = product_input("0", "+")
+    assert product_input("0", "+") is rho
+    assert not rho.flags.writeable
     for _ in range(2):  # a bad label is never cached: it raises on every call
         with pytest.raises(ValueError, match="^unknown preparation label '1'; expected 0 or \\+$"):
             product_input("0", "1")

@@ -19,12 +19,9 @@ from subens import (
     negativity,
     pauli_expand,
     pauli_matrix,
-    product_input,
     projector_from_ket,
     standard_ket,
     validate_density,
-    x_basis,
-    z_basis,
 )
 from subens.cli import main
 
@@ -42,11 +39,15 @@ PROJ_MINUS = projector_from_ket(standard_ket("-"))
 
 class TestMeasurementBasis:
     def test_named_bases(self):
-        assert z_basis().labels == ("0", "1")
-        assert x_basis().labels == ("+", "-")
+        assert named_basis("Z").labels == ("0", "1")
+        assert named_basis("X").labels == ("+", "-")
         assert named_basis("Z").name == "Z"
-        with pytest.raises(ValueError, match="unknown basis"):
-            named_basis("Y")
+
+    @pytest.mark.parametrize("name", ["Y", None, ["Z"]], ids=["Y", "None", "unhashable"])
+    def test_unknown_basis_name_is_a_value_error(self, name):
+        with pytest.raises(ValueError) as exc:
+            named_basis(name)
+        assert str(exc.value) == f"unknown basis name {name!r}; expected Z or X"
 
     def test_labels_default_to_outcome_numbers(self):
         basis = MeasurementBasis(vectors=[standard_ket("0"), standard_ket("1")])
@@ -75,7 +76,7 @@ class TestMeasurementBasis:
             basis_from_kets([2 * standard_ket("0"), standard_ket("1")])
 
     def test_matrix_holds_kets_as_columns(self):
-        basis = x_basis()
+        basis = named_basis("X")
         assert basis.matrix.shape == (2, 2)
         assert not basis.matrix.flags.writeable
         for k, ket in enumerate(basis.vectors):
@@ -148,7 +149,7 @@ class TestValidateDensity:
 
 class TestDecompose:
     def test_eigenbasis(self):
-        terms = decompose(PROJ_0, z_basis())
+        terms = decompose(PROJ_0, named_basis("Z"))
         assert almost_equal(terms[0].operator, PROJ_0)
         assert terms[0].weight == pytest.approx(1.0, abs=ATOL)
         assert almost_equal(terms[1].operator, np.zeros((2, 2)))
@@ -156,25 +157,25 @@ class TestDecompose:
 
     def test_conjugate_basis(self):
         # (|0><0| |+-><+-| + h.c.)/2 = (I +- X + Z)/4, worked out by hand
-        terms = decompose(PROJ_0, x_basis())
+        terms = decompose(PROJ_0, named_basis("X"))
         assert almost_equal(terms[0].operator, np.array([[0.5, 0.25], [0.25, 0.0]]))
         assert almost_equal(terms[1].operator, np.array([[0.5, -0.25], [-0.25, 0.0]]))
         assert terms[0].weight == pytest.approx(0.5, abs=ATOL)
         assert terms[1].weight == pytest.approx(0.5, abs=ATOL)
 
     def test_maximally_mixed(self):
-        for basis in (z_basis(), x_basis()):
+        for basis in (named_basis("Z"), named_basis("X")):
             for term, ket in zip(decompose(np.eye(2) / 2, basis), basis.vectors):
                 assert almost_equal(term.operator, projector_from_ket(ket) / 2)
                 assert term.weight == pytest.approx(0.5, abs=ATOL)
 
     def test_rejects_invalid_state(self):
         with pytest.raises(ValueError):
-            decompose(np.eye(2), z_basis())
+            decompose(np.eye(2), named_basis("Z"))
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            decompose(np.eye(4) / 4, z_basis())
+            decompose(np.eye(4) / 4, named_basis("Z"))
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_reconstruction_and_weights(self, dim):
@@ -192,7 +193,7 @@ class TestDecompose:
                 assert almost_equal(t.operator, t.operator.conj().T)
 
     def test_terms_can_fail_positivity(self):
-        term = decompose(PROJ_0, x_basis())[0]
+        term = decompose(PROJ_0, named_basis("X"))[0]
         lowest = np.linalg.eigvalsh(term.operator).min()
         assert lowest < -0.01
         assert abs(lowest - (1 - np.sqrt(2)) / 4) <= 1e-9
@@ -263,11 +264,11 @@ class TestAssignmentOperator:
 
 class TestJointDistribution:
     def test_zero_state(self):
-        dist = mh_joint(PROJ_0, z_basis(), x_basis())
+        dist = mh_joint(PROJ_0, named_basis("Z"), named_basis("X"))
         assert almost_equal(dist.q, [[0.5, 0.5], [0.0, 0.0]])
 
     def test_plus_state(self):
-        dist = mh_joint(PROJ_PLUS, z_basis(), x_basis())
+        dist = mh_joint(PROJ_PLUS, named_basis("Z"), named_basis("X"))
         assert almost_equal(dist.q, [[0.5, 0.0], [0.5, 0.0]])
 
     def test_commuting_case_is_nonnegative(self):
@@ -321,7 +322,7 @@ class TestJointDistribution:
     def test_rejects_dimension_mismatch(self):
         rng = np.random.default_rng(44)
         with pytest.raises(ValueError, match="dimensions differ"):
-            mh_joint(np.eye(2) / 2, z_basis(), random_basis(rng, 4))
+            mh_joint(np.eye(2) / 2, named_basis("Z"), random_basis(rng, 4))
 
     @pytest.mark.parametrize(
         "q", [np.array(0.5), np.array([1.0, -2.0]), np.zeros((2, 2, 2))], ids=["0-d", "1-d", "3-d"]
@@ -334,7 +335,7 @@ class TestJointDistribution:
 
     def test_json_dict_shape(self, capsys, tmp_path):
         # the document is built by the CLI from the bases and the library's table
-        basis_a, basis_b = z_basis(), x_basis()
+        basis_a, basis_b = named_basis("Z"), named_basis("X")
         dist = mh_joint(PROJ_0, basis_a, basis_b)
         assert (basis_a.name, basis_b.name, dist.q.shape) == ("Z", "X", (2, 2))
         state = tmp_path / "zero.json"
@@ -347,12 +348,12 @@ class TestJointDistribution:
 
 class TestNegativity:
     def test_true_distribution_has_zero(self):
-        dist = mh_joint(PROJ_0, z_basis(), x_basis())
+        dist = mh_joint(PROJ_0, named_basis("Z"), named_basis("X"))
         assert negativity(dist) == 0.0
 
     def test_classical_table_reads_exactly_zero(self):
         # rho = |+><+| commutes with X, so the table is a true joint distribution
-        assert negativity(mh_joint(PROJ_PLUS, z_basis(), x_basis())) == 0.0
+        assert negativity(mh_joint(PROJ_PLUS, named_basis("Z"), named_basis("X"))) == 0.0
 
     def test_rounding_noise_within_atol_counts_as_zero(self):
         assert negativity([0.5, -ATOL, -1e-16, 0.5]) == 0.0
@@ -423,12 +424,11 @@ class TestArrayHoldingValues:
     @pytest.mark.parametrize(
         "make",
         [
-            z_basis,
-            lambda: decompose(PROJ_0, x_basis())[0],
-            lambda: mh_joint(PROJ_0, z_basis(), x_basis()),
+            lambda: named_basis("Z"),
+            lambda: decompose(PROJ_0, named_basis("X"))[0],
+            lambda: mh_joint(PROJ_0, named_basis("Z"), named_basis("X")),
             eta_basis,
             lambda: contribution_table("0", "0"),
-            lambda: product_input("0", "0"),
             lambda: pauli_expand(pauli_matrix("XZ")),
         ],
         ids=[
@@ -437,7 +437,6 @@ class TestArrayHoldingValues:
             "JointQuasiDistribution",
             "EtaBasis",
             "ContributionTable",
-            "ProductPreparation",
             "PauliExpansion",
         ],
     )
