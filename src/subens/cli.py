@@ -16,6 +16,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 
+import numpy as np
 import orjson
 
 from . import __version__, fmt
@@ -195,8 +196,7 @@ def _basis_doc(basis):
 
 def _table_text(table) -> str:
     header = [f"input {table.first}{table.second}"] + [f"eta_{i}" for i in OUTCOMES]
-    rows = [[label, row] for label, row in zip(table.row_labels, table.entries)]
-    return fmt.render_table(header, rows)
+    return fmt.render_table(header, table.row_labels, table.entries)
 
 
 def _negative_rows(table, outcome: int) -> list:
@@ -255,7 +255,7 @@ def _cmd_eta(args) -> None:
 def _cmd_prob(args) -> None:
     eta_basis()  # the checked measurement: raises if it failed construction
     first, second = args.input  # argparse has checked it against INPUT_CHOICES
-    probs = [outcome_probability(i, first, second) for i in OUTCOMES]
+    probs = np.array([outcome_probability(i, first, second) for i in OUTCOMES])
 
     def rows():
         return [["outcome", "probability"]] + [[i, p] for i, p in zip(OUTCOMES, probs)]
@@ -389,14 +389,13 @@ def _cmd_mh(args) -> None:
         }
 
     def rows():
-        # csv and pretty print the same labelled rows under different headers
-        return [[label, row] for label, row in zip(basis_a.labels, dist.q)]
+        return [[""] + labels_b] + [[label, row] for label, row in zip(basis_a.labels, dist.q)]
 
     def text():
         title = f"joint quasi-probability: rows {basis_a.name or 'A'}, columns {basis_b.name or 'B'}"
-        return title + "\n" + fmt.render_table(["q(a,b)"] + labels_b, rows())
+        return title + "\n" + fmt.render_table(["q(a,b)"] + labels_b, basis_a.labels, dist.q)
 
-    print(_render(args.format, doc, lambda: [[""] + labels_b] + rows(), text))
+    print(_render(args.format, doc, rows, text))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -6,22 +6,20 @@ it: fixed notation for 1e-5 <= |x| < 1e16, with ".0" on an integral value,
 else d.ddde±N with no "+" and no leading exponent zeros (1e-7, 1e16, 5e-324);
 -0.0 prints as 0.0. Each array is one orjson call after the finiteness check
 (orjson prints NaN as null), laid out by one replace per axis. Pretty output
-prints 6 digits and fills one ``%`` template per array.
+prints 6 digits and fills one ``%`` template per array. An array prints only
+if it has at least one axis and one entry; any other raises TypeError.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-from itertools import islice
 from types import MappingProxyType
 
 import numpy as np
 import orjson
 
 PRETTY_DIGITS = 6
-_REAL = (int, float, np.integer, np.floating)
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -43,28 +41,26 @@ def format_float(x) -> str:
     return f"%.{PRETTY_DIGITS}g" % _finite(x)
 
 
-def _fill(template: str, cells) -> str:
-    """template % the entries of the real cells, numbers and arrays, in one
-    pass; a non-finite entry raises, and -0.0 prints as 0."""
-    a = np.concatenate([np.ravel(c) for c in cells]) if cells else np.empty(0)
+def _fill(template: str, a: np.ndarray) -> str:
+    """template % the entries of the real array a, in one pass; an array with no
+    entries raises TypeError, a non-finite entry ValueError, and -0.0 prints as 0."""
+    if not a.size:
+        raise TypeError("cannot serialize an array with no entries")
     _check_finite(a)
-    return template % tuple((a + 0.0).tolist())  # + 0.0 folds -0.0
+    return template % tuple((a.ravel() + 0.0).tolist())  # + 0.0 folds -0.0
 
 
 def complex_cells(z) -> list:
     """Pretty text of each entry of a complex array: re, or re±im i when im
     is not 0, formatted in one pass."""
     z = np.asarray(z, dtype=complex).ravel()
-    if not z.size:
-        return []
     has_im = z.imag != 0
     cells = np.where(has_im, f"%.{PRETTY_DIGITS}g%+.{PRETTY_DIGITS}gi", f"%.{PRETTY_DIGITS}g")
     # each entry's re, then its im unless that is 0
     pairs = np.stack((z.real, z.imag), axis=-1)[np.stack((np.ones_like(has_im), has_im), axis=-1)]
-    return _fill("\n".join(cells.tolist()), [pairs]).split("\n")
+    return _fill("\n".join(cells.tolist()), pairs).split("\n")
 
 
-@functools.lru_cache(maxsize=64)
 def _frame(layers: tuple) -> tuple:
     """The text before an array's first entry, the bytes before an entry whose
     last r indices are 0, for each r, and the text after its last entry, for
@@ -76,14 +72,6 @@ def _frame(layers: tuple) -> tuple:
         for r in range(ndim)
     ]
     return "".join(heads), tuple(b.encode() for b in between), "".join(tails[::-1])
-
-
-def _empty(shape, layers) -> str:
-    """The text of an array with no entries, laid out by layers."""
-    text = ""
-    for (head, sep, tail), n in reversed(list(zip(layers, shape))):
-        text = head + sep.join([text] * n) + tail if n else "[]"
-    return text
 
 
 def _text(a: np.ndarray, layers: tuple) -> str:
@@ -103,42 +91,39 @@ def _text(a: np.ndarray, layers: tuple) -> str:
     return "".join((heads, text, tails))
 
 
-def _scalar(v) -> str | None:
+def _scalar(v) -> str:
     """A bool, an integer or a float, Python's or numpy's, as JSON and CSV print
-    it; None if v is none of these."""
+    it; any other object raises TypeError."""
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return orjson.dumps(_finite(v)).decode() if isinstance(v, (float, np.floating)) else None
+    if isinstance(v, (float, np.floating)):
+        return orjson.dumps(_finite(v)).decode()
+    raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
 def _array(write, a: np.ndarray, indent: int) -> None:
-    """A real or complex array laid out as ``_emit`` lays out nested lists, a
-    complex entry as an [re, im] pair."""
+    """A real or complex array of at least one axis and one entry, laid out as
+    ``_emit`` lays out nested lists, a complex entry as an [re, im] pair."""
     if np.iscomplexobj(a):
         a = np.stack((a.real, a.imag), axis=-1)
-    if not a.ndim:
-        write(_scalar(float(a)))
-        return
     layers = tuple(
         (f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]")
         for pad in ("  " * (indent + axis) for axis in range(a.ndim - 1))
     ) + (("[", ", ", "]"),)
-    write(_text(a, layers) if a.size else _empty(a.shape, layers))
+    write(_text(a, layers))
 
 
 def _emit(obj, write, indent: int) -> None:
-    """Write the JSON text of obj, nested lists and dicts indented from indent."""
+    """Write the JSON text of obj, nested lists and dicts indented from indent; a
+    list of integers only, an empty one too, on one line."""
     pad = "  " * indent
     if isinstance(obj, (list, tuple)) and all(
-        isinstance(v, _REAL) and not isinstance(v, (bool, np.bool_)) for v in obj
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in obj
     ):
-        if all(isinstance(v, (int, np.integer)) for v in obj):  # an empty list too
-            write("[" + ", ".join(map(_scalar, obj)) + "]")
-            return
-        obj = np.array(obj, dtype=float)  # numbers, one of them not an integer
-    if isinstance(obj, np.ndarray):
+        write("[" + ", ".join(map(_scalar, obj)) + "]")
+    elif isinstance(obj, np.ndarray) and obj.ndim and obj.size:
         _array(write, obj, indent)
     elif isinstance(obj, (dict, MappingProxyType)) and not obj:
         write("{}")
@@ -152,10 +137,8 @@ def _emit(obj, write, indent: int) -> None:
         write(pad + ("}" if keyed else "]"))
     elif isinstance(obj, str) or obj is None:
         write(json.dumps(obj))
-    elif (text := _scalar(obj)) is not None:
-        write(text)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    else:  # any other object, an array without an axis or an entry too, raises
+        write(_scalar(obj))
 
 
 def dumps(obj) -> str:
@@ -167,33 +150,26 @@ def dumps(obj) -> str:
 
 
 def _cell(cell) -> str:
-    """A CSV cell's text: a string as it is, an array's entries, or a number."""
+    """A CSV cell's text: a string as it is, the entries of an array of at least
+    one axis and one entry, or a number; any other object raises TypeError."""
     if isinstance(cell, str):
         return cell
-    if isinstance(cell, np.ndarray):
+    if isinstance(cell, np.ndarray) and cell.ndim and cell.size:
         return _text(np.ravel(cell), (("", ",", ""),))
-    return _scalar(cell) or _scalar(float(cell))
+    return _scalar(cell)
 
 
 def csv_line(*rows) -> str:
     """Comma-separated cells, a line per row; an ndarray cell stands for its entries."""
-    return "\n".join(
-        ",".join(_cell(c) for c in cells if not (isinstance(c, np.ndarray) and not c.size))
-        for cells in rows
-    )
+    return "\n".join(",".join(map(_cell, cells)) for cells in rows)
 
 
-def render_table(header, rows) -> str:
-    """Fixed-width table: first column left-justified, the rest right-justified.
-    Every cell that is not a string is a number, or an ndarray whose entries
-    take a column each."""
-    numbers = [c for row in rows for c in row if not isinstance(c, str)]
-    template = "\n".join([f"%.{PRETTY_DIGITS}g"] * sum(map(np.size, numbers)))
-    filled = iter(_fill(template, numbers).split("\n"))
-    text_rows = [list(header)] + [
-        [t for c in row for t in ([c] if isinstance(c, str) else islice(filled, np.size(c)))]
-        for row in rows
-    ]
+def render_table(header, labels, grid) -> str:
+    """Fixed-width table under header: each row's label left-justified, then that
+    row of the real 2-D grid, an entry per column, right-justified."""
+    row = "\t".join([f"%.{PRETTY_DIGITS}g"] * grid.shape[1])
+    filled = _fill("\n".join([row] * len(grid)), grid).split("\n")
+    text_rows = [list(header)] + [[label, *r.split("\t")] for label, r in zip(labels, filled)]
     widths = [max(map(len, col)) for col in zip(*text_rows)]
     line = "  ".join([f"%-{widths[0]}s"] + [f"%{w}s" for w in widths[1:]])
     return "\n".join((line % tuple(r)).rstrip() for r in text_rows)

@@ -31,6 +31,7 @@ __all__ = [
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -140,7 +141,7 @@ class PauliExpansion:
     coeffs: MappingProxyType = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError("qubit count must be a positive integer")
         checked = {}
         for s, c in self.coeffs.items():
@@ -148,6 +149,9 @@ class PauliExpansion:
                 ch not in PAULI_LETTERS for ch in s
             ):
                 raise ValueError(f"invalid Pauli string {s!r} for n={self.n}")
+            # float() would take "0.5" and True, and drop an imaginary part with a warning
+            if not isinstance(c, numbers.Real) or isinstance(c, bool):
+                raise ValueError(f"coefficient of {s} is not a real number")
             c = float(c)
             if not math.isfinite(c):
                 raise ValueError(f"coefficient of {s} is not finite")

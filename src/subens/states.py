@@ -35,7 +35,7 @@ def standard_ket(label: str) -> np.ndarray:
     """|0>, |1>, or (|0> +- |1>)/sqrt(2) for labels 0, 1, +, -."""
     try:
         amps = _KET_AMPLITUDES[label]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable label
         raise ValueError(f"unknown ket label {label!r}; expected one of 0, 1, +, -") from None
     return np.array(amps, dtype=complex)
 
@@ -52,13 +52,20 @@ def preparation_density(label: str) -> np.ndarray:
     """(I+Z)/2 for "0", (I+X)/2 for "+"."""
     try:
         return _PREPARATION_DENSITIES[label]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable label
         raise ValueError(f"unknown preparation label {label!r}; expected 0 or +") from None
 
 
-@functools.cache  # a bad label raises before anything is cached
 def product_input(first: str, second: str) -> np.ndarray:
-    """Read-only density rho(first) x rho(second) of a two-system product preparation."""
+    """Read-only density rho(first) x rho(second) of a two-system product preparation,
+    built once per pair."""
+    for label in (first, second):  # before the cache, which would raise TypeError on a list
+        preparation_density(label)
+    return _product_density(first, second)
+
+
+@functools.cache
+def _product_density(first: str, second: str) -> np.ndarray:
     rho = np.kron(preparation_density(first), preparation_density(second))
     rho.setflags(write=False)
     return rho

@@ -131,15 +131,12 @@ def format_complex(z):
 
 
 def reference_json(a, indent=0):
-    """The JSON text of an array at the given indent: nested lists, a complex
-    entry as an [re, im] pair, innermost lists on one line."""
+    """The JSON text of an array of at least one axis and one entry at the given
+    indent: nested lists, a complex entry as an [re, im] pair, innermost lists
+    on one line."""
     a = np.asarray(a)
     if np.iscomplexobj(a):
         a = np.stack((a.real, a.imag), axis=-1)
-    if a.ndim == 0:
-        return format_float(a)
-    if not len(a):
-        return "[]"
     if a.ndim == 1:
         return "[" + ", ".join(format_float(x) for x in a) + "]"
     pad = "  " * indent

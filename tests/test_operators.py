@@ -411,6 +411,31 @@ def test_expansion_keys_are_sorted():
     assert list(e.coeffs) == ["I", "X", "Z"]
 
 
+@pytest.mark.parametrize(
+    "c", ["0.5", True, np.True_, 1j, np.complex128(1 + 1j), np.complex64(0.5)], ids=repr
+)
+def test_expansion_coefficient_must_be_a_real_number(c):
+    # float() takes a string and a bool, and keeps only the real part of a numpy complex
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            PauliExpansion(n=1, coeffs={"I": 0.5, "X": c})
+    assert str(exc.value) == "coefficient of X is not a real number"
+
+
+@pytest.mark.parametrize("c", [2, 0.5, np.int8(2), np.float32(0.5), np.float64(0.5)], ids=repr)
+def test_expansion_coefficient_reads_as_a_float(c):
+    coeffs = PauliExpansion(n=1, coeffs={"X": c}).coeffs
+    assert coeffs == {"X": float(c)} and type(coeffs["X"]) is float
+
+
+@pytest.mark.parametrize("n", [True, False, 1.0, np.int64(1)], ids=repr)
+def test_expansion_qubit_count_must_be_an_int(n):
+    with pytest.raises(ValueError) as exc:
+        PauliExpansion(n=n)
+    assert str(exc.value) == "qubit count must be a positive integer"
+
+
 def test_expansion_rejects_bad_strings():
     with pytest.raises(ValueError, match="invalid Pauli string"):
         PauliExpansion(n=1, coeffs={"XX": 1.0})

@@ -9,6 +9,7 @@ from subens import (
     product_input,
     standard_ket,
 )
+from subens.scenario import outcome_probability
 
 SQRT_HALF = np.sqrt(0.5)
 
@@ -85,3 +86,24 @@ def test_product_input_is_built_once_per_pair():
     for _ in range(2):  # a bad label is never cached: it raises on every call
         with pytest.raises(ValueError, match="^unknown preparation label '1'; expected 0 or \\+$"):
             product_input("0", "1")
+
+
+LABEL_CALLS = {
+    "standard_ket": (lambda label: standard_ket(label), "ket", "one of 0, 1, +, -"),
+    "preparation_density": (lambda label: preparation_density(label), "preparation", "0 or +"),
+    "product_input": (lambda label: product_input(label, "0"), "preparation", "0 or +"),
+    "outcome_probability": (
+        lambda label: outcome_probability(1, label, "0"),
+        "preparation",
+        "0 or +",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", [["0"], {}], ids=repr)
+@pytest.mark.parametrize("name", LABEL_CALLS)
+def test_unhashable_label_is_a_value_error(name, label):
+    call, kind, expected = LABEL_CALLS[name]
+    with pytest.raises(ValueError) as exc:
+        call(label)
+    assert str(exc.value) == f"unknown {kind} label {label!r}; expected {expected}"
