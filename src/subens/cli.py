@@ -361,9 +361,7 @@ def _cmd_decompose(args) -> None:
         cells = [f"r{i}c{j}" for i in range(basis.dim) for j in range(basis.dim)]
         out = [["outcome", "label", "weight"] + [f"{c}_{p}" for c in cells for p in ("re", "im")]]
         for f, t in enumerate(terms):
-            # a complex array viewed as floats interleaves re and im
-            parts = t.operator.ravel().view(float)
-            out.append([f, basis.labels[f], t.weight, parts])
+            out.append([f, basis.labels[f], t.weight, t.operator])
         return out
 
     def text():

@@ -4,10 +4,10 @@ JSON and CSV print each double as the shortest decimal that reads back as it
 (Adams, "Ryū: fast float-to-string conversion", PLDI 2018), as orjson spells
 it: fixed notation for 1e-5 <= |x| < 1e16, with ".0" on an integral value,
 else d.ddde±N with no "+" and no leading exponent zeros (1e-7, 1e16, 5e-324);
--0.0 prints as 0.0. Each array is one orjson call after the finiteness check
-(orjson prints NaN as null), laid out by one replace per axis. Pretty output
-prints 6 digits and fills one ``%`` template per array. An array prints only
-if it has at least one axis and one entry; any other raises TypeError.
+-0.0 prints as 0.0. Each array is one orjson call, laid out by one replace per
+axis, or one 6-digit ``%`` template in pretty output, over the finite doubles
+of ``_doubles`` (orjson prints NaN as null). Only a float or complex array
+with at least one axis and one entry prints; any other raises TypeError.
 """
 
 from __future__ import annotations
@@ -22,10 +22,19 @@ import orjson
 PRETTY_DIGITS = 6
 
 
-def _check_finite(a: np.ndarray) -> None:
+def _doubles(a: np.ndarray) -> np.ndarray:
+    """A float or complex array's entries as new C-contiguous finite doubles, a
+    complex entry as a last [re, im] axis, -0.0 as 0.0; a non-finite double
+    raises ValueError, any other dtype TypeError."""
+    if a.dtype.kind not in "fc":
+        raise TypeError(f"cannot serialize an array of {a.dtype}")
+    if a.dtype.kind == "c":
+        a = np.ascontiguousarray(a, dtype=complex)[..., None].view(float)
+    a = np.ascontiguousarray(a, dtype=float)
     finite = np.isfinite(a)
     if not finite.all():
         raise ValueError(f"cannot serialize non-finite value {a[~finite][0]}")
+    return a + 0.0  # + 0.0 folds -0.0
 
 
 def _finite(x) -> float:
@@ -42,23 +51,19 @@ def format_float(x) -> str:
 
 
 def _fill(template: str, a: np.ndarray) -> str:
-    """template % the entries of the real array a, in one pass; an array with no
-    entries raises TypeError, a non-finite entry ValueError, and -0.0 prints as 0."""
+    """template % the doubles of a, in one pass; an empty a raises TypeError."""
     if not a.size:
         raise TypeError("cannot serialize an array with no entries")
-    _check_finite(a)
-    return template % tuple((a.ravel() + 0.0).tolist())  # + 0.0 folds -0.0
+    return template % tuple(_doubles(a).ravel().tolist())
 
 
 def complex_cells(z) -> list:
     """Pretty text of each entry of a complex array: re, or re±im i when im
     is not 0, formatted in one pass."""
     z = np.asarray(z, dtype=complex).ravel()
-    has_im = z.imag != 0
-    cells = np.where(has_im, f"%.{PRETTY_DIGITS}g%+.{PRETTY_DIGITS}gi", f"%.{PRETTY_DIGITS}g")
-    # each entry's re, then its im unless that is 0
-    pairs = np.stack((z.real, z.imag), axis=-1)[np.stack((np.ones_like(has_im), has_im), axis=-1)]
-    return _fill("\n".join(cells.tolist()), pairs).split("\n")
+    re, im = f"%.{PRETTY_DIGITS}g", f"%+.{PRETTY_DIGITS}gi"
+    cells = np.where(z.imag != 0, re + im, re + "%.0s")  # "%.0s" prints none of an im of 0
+    return _fill("\n".join(cells.tolist()), z).split("\n")
 
 
 def _frame(layers: tuple) -> tuple:
@@ -75,12 +80,10 @@ def _frame(layers: tuple) -> tuple:
 
 
 def _text(a: np.ndarray, layers: tuple) -> str:
-    """The entries of a non-empty real array of at least one axis, as doubles,
-    each axis laid out by layers; a non-finite entry raises."""
-    a = np.ascontiguousarray(a, dtype=float)
-    _check_finite(a)
+    """The doubles a of ``_doubles``, at least one axis and one entry, each axis
+    laid out by layers."""
     heads, between, tails = _frame(layers)
-    text = orjson.dumps(a + 0.0, option=orjson.OPT_SERIALIZE_NUMPY)  # + 0.0 folds -0.0
+    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
     # orjson writes "]" * r + "," + "[" * r before an entry whose last r indices are 0,
     # and no number it writes holds "[", "]" or ","
     if between[0] != b",":
@@ -106,8 +109,7 @@ def _scalar(v) -> str:
 def _array(write, a: np.ndarray, indent: int) -> None:
     """A real or complex array of at least one axis and one entry, laid out as
     ``_emit`` lays out nested lists, a complex entry as an [re, im] pair."""
-    if np.iscomplexobj(a):
-        a = np.stack((a.real, a.imag), axis=-1)
+    a = _doubles(a)
     layers = tuple(
         (f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]")
         for pad in ("  " * (indent + axis) for axis in range(a.ndim - 1))
@@ -155,12 +157,12 @@ def _cell(cell) -> str:
     if isinstance(cell, str):
         return cell
     if isinstance(cell, np.ndarray) and cell.ndim and cell.size:
-        return _text(np.ravel(cell), (("", ",", ""),))
+        return _text(_doubles(cell).ravel(), (("", ",", ""),))
     return _scalar(cell)
 
 
 def csv_line(*rows) -> str:
-    """Comma-separated cells, a line per row; an ndarray cell stands for its entries."""
+    """Comma-separated cells, a line per row; an ndarray cell stands for its doubles."""
     return "\n".join(",".join(map(_cell, cells)) for cells in rows)
 
 

@@ -5,7 +5,8 @@ cells format each array in one pass. Here every entry is formatted on its own
 by the reference in ``helpers``, over real and complex arrays of 1-3
 dimensions with at least one entry, the only arrays the renderers print, with
 -0.0, the smallest subnormal, values near the largest double and integral
-floats among the entries.
+floats among the entries. A complex array prints as its re then im in CSV
+too, and an array of any other dtype is refused.
 
 JSON and CSV print each double through orjson as the shortest decimal that
 reads back as it. The reference spells ``repr``'s digits by the rule that the
@@ -58,7 +59,8 @@ tables = hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1),
 
 
 def real_entries(a):
-    """The real numbers that stand for a, a complex entry as re then im."""
+    """The real numbers that stand for a, a complex entry as re then im, as a
+    real grid that render_table takes."""
     return np.ascontiguousarray(a).view(float) if np.iscomplexobj(a) else a
 
 
@@ -74,8 +76,10 @@ def test_dumps(a):
 @RENDER_SETTINGS
 @given(arrays, values)
 def test_csv_line(a, x):
-    cells = ["label", real_entries(a), 3, True, x]
-    expected = ["label"] + [format_float(v) for v in real_entries(a).ravel()]
+    cells = ["label", a, 3, True, x]
+    # an array cell stands for its entries, a complex one for its re then its im
+    parts = [[v.real, v.imag] if np.iscomplexobj(a) else [v] for v in a.ravel().tolist()]
+    expected = ["label"] + [format_float(v) for part in parts for v in part]
     line = ",".join(expected + ["3", "true", format_float(x)])
     assert fmt.csv_line(cells) == line
     three = "\n".join([line, "%s," + format_float(x), line])
@@ -89,6 +93,16 @@ def test_render_table(a):
     labels = [f"r{i}" for i in range(len(a))]
     expected = [[label, *row] for label, row in zip(labels, a.tolist())]
     assert fmt.render_table(header, labels, a) == reference_table(header, expected)
+
+
+@RENDER_SETTINGS
+@given(complex_arrays())
+def test_complex_csv_cell_prints_the_pairs_of_json(z):
+    pairs = np.array(json.loads(fmt.dumps(z)))
+    assert pairs.shape == z.shape + (2,)
+    cells = np.array([float(t) for t in fmt.csv_line([z]).split(",")])
+    # the same doubles, bit for bit and in the same order
+    assert cells.view(np.uint64).tolist() == pairs.ravel().view(np.uint64).tolist()
 
 
 @RENDER_SETTINGS
@@ -123,7 +137,7 @@ def test_non_finite_entry_is_named(a, data):
     with pytest.raises(ValueError, match=message):
         fmt.dumps({"a": [1.0, a]})
     with pytest.raises(ValueError, match=message):
-        fmt.csv_line([real_entries(a)])
+        fmt.csv_line(["x", a])
     row = real_entries(a).reshape(1, -1)
     with pytest.raises(ValueError, match=message):
         fmt.render_table(["x"] + ["c"] * row.size, ["x"], row)
@@ -166,8 +180,14 @@ def test_object_without_json_form_is_refused():
     assert str(exc.value) == "cannot serialize object"
 
 
-# the renderers print an array only if it has at least one axis and one entry
+# the renderers print an array only if it has at least one axis and one entry, and
+# only a float or complex one
 ARRAY, NO_ENTRIES = "cannot serialize ndarray", "cannot serialize an array with no entries"
+OTHER_DTYPES = {
+    "int64": np.array([[1, 2**60 + 1]], dtype=np.int64),  # 2**60 + 1 is no double
+    "bool": np.array([[True, False]]),
+    "object": np.array([[0.5, 1]], dtype=object),
+}
 REFUSED = {
     "dumps-0d": (lambda: fmt.dumps(np.array(0.5)), ARRAY),
     "dumps-0d-complex": (lambda: fmt.dumps(np.array(1j)), ARRAY),  # not an [re, im] pair
@@ -179,6 +199,11 @@ REFUSED = {
     "complex-cells-empty": (lambda: fmt.complex_cells(np.zeros(0)), NO_ENTRIES),
     "table-empty": (lambda: fmt.render_table(["q"], [], np.zeros((0, 1))), NO_ENTRIES),
 }
+for name, grid in OTHER_DTYPES.items():
+    message = f"cannot serialize an array of {name}"
+    REFUSED[f"dumps-{name}"] = (lambda g=grid: fmt.dumps({"a": [1.0, g]}), message)
+    REFUSED[f"csv-{name}"] = (lambda g=grid: fmt.csv_line(["a", g[0]]), message)
+    REFUSED[f"table-{name}"] = (lambda g=grid: fmt.render_table(["q", "c", "d"], ["r"], g), message)
 
 
 @pytest.mark.parametrize("case", REFUSED)
