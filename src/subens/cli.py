@@ -49,8 +49,8 @@ def _blame(where: str):
         raise InputFileError(f"{where}: {exc}") from exc
 
 
-# the bytes of JSON numbers, commas and whitespace
-_NUMBERS = b"0123456789+-.eE, \t\n\r"
+# the bytes of JSON numbers, NaN and Infinity, commas and whitespace
+_NUMBERS = b"0123456789+-.eENaInfity, \t\n\r"
 
 
 def _proven(data: bytes) -> bool:
@@ -59,8 +59,8 @@ def _proven(data: bytes) -> bool:
     file (rows, entries, [re, im]). Each pass deletes the innermost [] pairs, so
     only such a nesting is gone after three.
 
-    Any document parsed from proven bytes holds nothing but arrays and numbers:
-    no string, true, false, null, object, NaN or Infinity.
+    Any document parsed from proven bytes holds nothing but lists, ints and floats,
+    NaN and Infinity among them: a string, true, false, null or object needs another byte.
     """
     nesting = data.translate(None, _NUMBERS)
     for _ in range(3):
@@ -73,9 +73,9 @@ def _document(data: bytes, proven: bool):
 
     Proven bytes are parsed by orjson, which reads each number to the double
     json gives, bit for bit; orjson never sees a deep document, on which it can
-    crash. Anything else, and anything orjson refuses, is parsed by json from
-    the text open(..., encoding="utf-8") would give, so that a rejection keeps
-    json's wording and positions.
+    crash. Anything else, and a proven one orjson refuses (a number past a double,
+    NaN or Infinity), is parsed by json from the text open(..., encoding="utf-8")
+    would give, so that a rejection keeps json's wording and positions.
     """
     if proven:
         try:
@@ -123,8 +123,8 @@ def _state_from_json(data, proven: bool):
     while isinstance(first, list) and first:
         first, depth = first[0], depth + 1
     ndim, loader = (1, ket_from_json) if depth == 2 else (2, matrix_from_json)
-    state = _complex_array(data, ndim, numbers_only=True) if proven else None
-    # the loader converts any other document, or words its rejection
+    state = _complex_array(data, ndim) if proven else None
+    # the loader's walk words the rejection of any other document, or checks it and converts
     return loader(data) if state is None else state
 
 
@@ -132,7 +132,7 @@ def _load_basis(source: str, dim: int):
     def parse(data, proven):
         if not isinstance(data, list):
             raise InputFileError(f"{source}: basis file must be an array of kets")
-        kets = _complex_array(data, 2, numbers_only=True) if proven else None
+        kets = _complex_array(data, 2) if proven else None
         if kets is None:  # convert ket by ket, or word a rejection
             kets = []
             for i, k in enumerate(data):

@@ -92,12 +92,16 @@ def almost_equal(a, b) -> bool:
     return a.shape == b.shape and _distance(a, b) <= ATOL
 
 
-def pauli_strings(n: int):
-    """Yield all length-n Pauli strings in serialization order."""
-    if n < 1:
+def _check_qubit_count(n) -> None:
+    """Raise unless n is a positive int; a bool, a float or a numpy integer is not one."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("qubit count must be a positive integer")
-    for letters in itertools.product(PAULI_LETTERS, repeat=n):
-        yield "".join(letters)
+
+
+def pauli_strings(n: int):
+    """An iterator over all length-n Pauli strings in serialization order."""
+    _check_qubit_count(n)
+    return map("".join, itertools.product(PAULI_LETTERS, repeat=n))
 
 
 def pauli_matrix(letters: str) -> np.ndarray:
@@ -141,8 +145,7 @@ class PauliExpansion:
     coeffs: MappingProxyType = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError("qubit count must be a positive integer")
+        _check_qubit_count(self.n)
         checked = {}
         for s, c in self.coeffs.items():
             if not isinstance(s, str) or len(s) != self.n or any(
@@ -228,33 +231,19 @@ def projector_from_ket(ket) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _complex_array(data, ndim: int, numbers_only: bool = False) -> np.ndarray | None:
-    """The complex entries of data, a d**ndim array of [re, im] pairs of JSON
-    numbers; None if data is anything else.
-
-    numbers_only promises that data holds nothing but lists, ints and floats, as
-    ``cli._proven`` proves from a file's bytes; then no type is checked: len()
-    raises on a number where a list belongs, and the conversion on a list where a
-    number belongs.
-    """
+def _complex_array(data, ndim: int) -> np.ndarray | None:
+    """The complex entries of data, a d**ndim array of [re, im] pairs; None if
+    data is any other nesting of lists, ints and floats (no bool), the only data
+    it may be handed, as ``cli._proven`` and the loaders' walks ensure."""
     items = [data]
-    width = len(data) if type(data) is list else -1
     try:
+        width = len(data)
         for level, n in enumerate((width,) * ndim + (2,)):  # lists of one length each
-            lists = numbers_only or set(map(type, items)) == {list}
-            if not lists or set(map(len, items)) != {n}:
+            if set(map(len, items)) != {n}:
                 return None
             if level < ndim:
                 items = list(itertools.chain.from_iterable(items))
-        leaves = itertools.chain.from_iterable(items)
-        if numbers_only:
-            a = np.fromiter(leaves, float, 2 * len(items))
-        else:
-            leaves = list(leaves)
-            # exact types, since dtype=float also reads true, "1" and null as 1.0, 1.0 and nan
-            if not set(map(type, leaves)) <= {int, float}:
-                return None
-            a = np.array(leaves, dtype=float)
+        a = np.fromiter(itertools.chain.from_iterable(items), float, 2 * len(items))
     # a number where a list belongs, a list where a number belongs, an integer beyond a double
     except (TypeError, ValueError, OverflowError):
         return None
@@ -273,28 +262,24 @@ def _check_pair(item, where: str) -> None:
 def matrix_from_json(data) -> np.ndarray:
     """A square matrix from an array of rows of [re, im] pairs.
 
-    Data the array conversion refuses is walked entry by entry only to word
-    the rejection; the walk raises on exactly that data.
+    A walk entry by entry raises on anything else, naming the first fault;
+    what it passes holds only lists, ints and floats, and is then converted.
     """
-    m = _complex_array(data, 2)
-    if m is None:
-        if not isinstance(data, list) or not data:
-            raise ValueError("matrix must be a non-empty array of rows")
-        for i, row in enumerate(data):
-            if not isinstance(row, list) or len(row) != len(data):
-                raise ValueError(f"matrix row {i} must be an array of {len(data)} entries")
-        for i, row in enumerate(data):
-            for j, item in enumerate(row):
-                _check_pair(item, f"matrix entry ({i},{j})")
-    return m
+    if not isinstance(data, list) or not data:
+        raise ValueError("matrix must be a non-empty array of rows")
+    for i, row in enumerate(data):
+        if not isinstance(row, list) or len(row) != len(data):
+            raise ValueError(f"matrix row {i} must be an array of {len(data)} entries")
+    for i, row in enumerate(data):
+        for j, item in enumerate(row):
+            _check_pair(item, f"matrix entry ({i},{j})")
+    return _complex_array(data, 2)
 
 
 def ket_from_json(data) -> np.ndarray:
     """A ket from an array of [re, im] amplitudes; rejections as for a matrix."""
-    k = _complex_array(data, 1)
-    if k is None:
-        if not isinstance(data, list) or not data:
-            raise ValueError("ket must be a non-empty array of amplitudes")
-        for i, item in enumerate(data):
-            _check_pair(item, f"ket amplitude {i}")
-    return k
+    if not isinstance(data, list) or not data:
+        raise ValueError("ket must be a non-empty array of amplitudes")
+    for i, item in enumerate(data):
+        _check_pair(item, f"ket amplitude {i}")
+    return _complex_array(data, 1)

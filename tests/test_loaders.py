@@ -8,15 +8,18 @@ bit for bit as ``complex(re, im)`` gives it.
 
 The reader proves from a file's bytes that its document holds only arrays and
 numbers, at most three deep (``cli._proven``). Proven bytes are parsed by
-orjson and converted without a check of each leaf's type; any other file is
-parsed by json and converted by the loaders. The proof must never pass a
-document with any other leaf or nesting, and a file must read to the same
-array bits or the same error line with the proof as without it.
+orjson, or by json where orjson refuses them, and converted without a check of
+each leaf's type; any other file is parsed by json and walked by the loaders,
+which word its rejection or check it before converting it. The proof must never
+pass a document with any other leaf or nesting, the conversion must never be
+handed one, and a file must read to the same array bits or the same error line
+with the proof as without it.
 """
 
 import functools
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -25,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subens import cli
+from subens import cli, operators
 from subens.cli import main
 from subens.operators import _complex_array, ket_from_json, matrix_from_json
 
@@ -86,21 +89,39 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def numbers_and_lists_only(data) -> bool:
+    """Whether data holds nothing but lists, ints and floats; a bool is none of these."""
+    if type(data) is list:
+        return all(map(numbers_and_lists_only, data))
+    return type(data) in (int, float)
+
+
 @settings(max_examples=150, deadline=None)
 @given(documents)
 def test_any_document_exits_0_or_3(workdir, data):
     path = workdir / "fuzzed.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     zero = str(workdir / "zero.json")
+    handed = []
+
+    def watched(item, *args, **kwargs):
+        handed.append(item)
+        return _complex_array(item, *args, **kwargs)
+
     for argv in (
         ["decompose", "--state", str(path), "--basis", "Z", "--format", "json"],
         ["mh", "--state", zero, "--basis-a", "Z", "--basis-b", str(path), "--format", "json"],
     ):
-        code, out, err = run_cli(argv)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_complex_array", watched)
+            patch.setattr(operators, "_complex_array", watched)
+            code, out, err = run_cli(argv)
         assert code in (0, 3), (argv, err)
         if code == 3:
             assert out == ""
             assert err.startswith("error: ")
+    # the conversion checks no type: the proof or the loaders' walks must have
+    assert handed and all(map(numbers_and_lists_only, handed))
 
 
 NOT_A_PAIR = "a complex number must be a [re, im] pair"
@@ -181,6 +202,13 @@ def doubles(data):
     return [doubles(item) for item in data] if isinstance(data, list) else float(data).hex()
 
 
+def finite_double(leaf) -> bool:
+    try:
+        return math.isfinite(leaf)
+    except OverflowError:  # an integer past a double
+        return False
+
+
 @settings(max_examples=500, deadline=None)
 @given(anything)
 @example(float("nan"))
@@ -198,37 +226,35 @@ def test_bytes_that_pass_the_proof_hold_only_arrays_and_numbers(data):
         assert depth(document) <= 3
         try:
             fast = orjson.loads(text)
-        except orjson.JSONDecodeError:  # only a number past a double, which json reads
-            with pytest.raises(OverflowError):
-                doubles(document)
+        except orjson.JSONDecodeError:  # only a number past a double, NaN or Infinity
+            assert not all(map(finite_double, leaves_of(document)))
         else:
             # orjson reads an integer beyond 64 bits as a double, json as an int
             assert doubles(fast) == doubles(document)
 
 
 def assert_same_complex_array(data, ndim):
+    """The conversion of a document whose bytes pass the proof, the only data
+    it may be handed, gives the reference's bits, or None where it does."""
+    assert proven(json.dumps(data).encode())
     want = reference_complex_array(data, ndim)
-    # a second time with the proof asserted, when the document's bytes pass it
-    for numbers_only in (False, True) if proven(json.dumps(data).encode()) else (False,):
-        got = _complex_array(data, ndim, numbers_only)
-        if want is None:
-            assert got is None
-        else:
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+    got = _complex_array(data, ndim)
+    if want is None:
+        assert got is None
+    else:
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
 @given(documents)
 def test_complex_array_matches_the_two_pass_reference(data):
-    for ndim in (0, 1, 2):
-        assert_same_complex_array(data, ndim)
+    if proven(json.dumps(data).encode()):
+        for ndim in (0, 1, 2):
+            assert_same_complex_array(data, ndim)
 
 
 FIXED_CASES = {
-    "true": True,
-    "string": "1",
-    "null": None,
     "int-beyond-double": 10**400,
     "ragged-rows": [[[1, 0], [0, 0]], [[0, 0]]],
     "pair-of-three": [[1, 2, 3]],
@@ -248,6 +274,10 @@ FIXED_CASES = {
 def test_complex_array_fixed_cases_match_the_reference(data, ndim):
     assert_same_complex_array(data, ndim)
 
+
+# the documents dumped as files below: the conversion's cases, and three whose bytes
+# fail the proof, so that only the loaders' walks see them
+DUMPED_CASES = {**FIXED_CASES, "true": True, "string": "1", "null": None}
 
 # files of numbers spelled as json.dumps never writes them; all pass the proof but
 # the one nested too deeply, the one that is cut short and the one holding true
@@ -269,6 +299,7 @@ SPELLED_FILES = {
     "truncated": b"[[1, 0], [0, 0]",
     "double-minus": b"[[--1, 0], [0, 0]]",
     "true": b"[[1, 0], [0, true]]",
+    "nan-and-infinity": b"[[NaN, 0], [0, -Infinity]]",
 }
 
 
@@ -298,8 +329,8 @@ def assert_same_with_and_without_the_proof(path):
 
 @pytest.mark.parametrize(
     "text",
-    [json.dumps(data).encode() for data in FIXED_CASES.values()] + list(SPELLED_FILES.values()),
-    ids=[f"dumped-{name}" for name in FIXED_CASES] + list(SPELLED_FILES),
+    [json.dumps(data).encode() for data in DUMPED_CASES.values()] + list(SPELLED_FILES.values()),
+    ids=[f"dumped-{name}" for name in DUMPED_CASES] + list(SPELLED_FILES),
 )
 def test_fixed_files_read_the_same_without_the_proof(workdir, text):
     path = workdir / "fixed.json"
@@ -319,8 +350,8 @@ NON_FINITE = "density matrix has non-finite entries"
 UNPROVEN_FILES = {
     "true": (b"[[true, 0], [0, 0]]", False, f": ket amplitude 0: {NOT_A_PAIR}"),
     "null": (b"[[null, 0], [0, 0]]", False, f": ket amplitude 0: {NOT_A_PAIR}"),
-    "nan": (b"[[NaN, 0], [0, 0]]", False, f": {NON_FINITE}"),
-    "infinity": (b"[[Infinity, 0], [0, 0]]", False, f": {NON_FINITE}"),
+    "nan": (b"[[NaN, 0], [0, 0]]", True, f": {NON_FINITE}"),
+    "infinity": (b"[[Infinity, 0], [0, 0]]", True, f": {NON_FINITE}"),
     "object": (b"[[1, 0], {}]", False, f": ket amplitude 1: {NOT_A_PAIR}"),
     "bom": (
         b"\xef\xbb\xbf[[1, 0], [0, 0]]",
@@ -333,7 +364,8 @@ UNPROVEN_FILES = {
         False,
         " is not valid JSON: Extra data: line 1 column 17 (char 16)",
     ),
-    # proven, but orjson refuses a number past a double; json then reads it as inf
+    # proven, but orjson refuses a number past a double as it refuses NaN and Infinity;
+    # json then reads it as inf
     "overflow-to-inf": (b"[[1e400, 0], [0, 0]]", True, f": {NON_FINITE}"),
 }
 

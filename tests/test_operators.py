@@ -223,7 +223,7 @@ def test_checks_reject_overflow_without_warning(call, result):
 @pytest.mark.parametrize(
     ("call", "message"),
     [
-        (lambda: list(pauli_strings(0)), "qubit count must be a positive integer"),
+        (lambda: pauli_strings(0), "qubit count must be a positive integer"),
         (lambda: pauli_matrix("Q"), "invalid Pauli string 'Q'"),
         (lambda: pauli_matrix(""), "invalid Pauli string ''"),
         # items of a list are whole letters, not substrings of "IXYZ"
@@ -433,6 +433,10 @@ def test_expansion_coefficient_reads_as_a_float(c):
 def test_expansion_qubit_count_must_be_an_int(n):
     with pytest.raises(ValueError) as exc:
         PauliExpansion(n=n)
+    assert str(exc.value) == "qubit count must be a positive integer"
+    # on the call, before any string is drawn
+    with pytest.raises(ValueError) as exc:
+        pauli_strings(n)
     assert str(exc.value) == "qubit count must be a positive integer"
 
 
