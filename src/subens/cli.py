@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 
 import numpy as np
 import orjson
@@ -295,7 +294,7 @@ def _cmd_verify(args) -> None:
     def doc():
         return {
             "passed": report.passed,
-            "checks": [asdict(c) for c in report.checks],
+            "checks": [c._asdict() for c in report.checks],
             "inputs": [
                 {
                     "input": label,

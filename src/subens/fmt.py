@@ -4,8 +4,8 @@ JSON and CSV print each double as the shortest decimal that reads back as it
 (Adams, "Ryū: fast float-to-string conversion", PLDI 2018), as orjson spells
 it: fixed notation for 1e-5 <= |x| < 1e16, with ".0" on an integral value,
 else d.ddde±N with no "+" and no leading exponent zeros (1e-7, 1e16, 5e-324);
--0.0 prints as 0.0. Each array is one orjson call, laid out by one replace per
-axis, or one 6-digit ``%`` template in pretty output, over the finite doubles
+-0.0 prints as 0.0. Each array is one orjson call, in JSON laid out by a replace
+per axis, or one 6-digit ``%`` template in pretty output, over the finite doubles
 of ``_doubles`` (orjson prints NaN as null). Only a float or complex array
 with at least one axis and one entry prints; any other raises TypeError.
 """
@@ -86,8 +86,7 @@ def _text(a: np.ndarray, layers: tuple) -> str:
     text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
     # orjson writes "]" * r + "," + "[" * r before an entry whose last r indices are 0,
     # and no number it writes holds "[", "]" or ","
-    if between[0] != b",":
-        text = text.replace(b",", between[0])
+    text = text.replace(b",", between[0])
     for r in range(a.ndim - 1, 0, -1):  # the longest first: "], [" is in "]], [["
         text = text.replace(b"]" * r + between[0] + b"[" * r, between[r])
     text = str(memoryview(text)[a.ndim : -a.ndim], "utf-8")  # frees the bytes: two copies at most
@@ -157,7 +156,8 @@ def _cell(cell) -> str:
     if isinstance(cell, str):
         return cell
     if isinstance(cell, np.ndarray) and cell.ndim and cell.size:
-        return _text(_doubles(cell).ravel(), (("", ",", ""),))
+        text = orjson.dumps(_doubles(cell).ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+        return text[1:-1].decode()  # the entries, without the brackets
     return _scalar(cell)
 
 

@@ -255,8 +255,10 @@ def _check_pair(item, where: str) -> None:
     """Raise the reason item is no [re, im] pair of numbers that fit a double."""
     if not isinstance(item, list) or len(item) != 2 or not set(map(type, item)) <= {int, float}:
         raise ValueError(f"{where}: a complex number must be a [re, im] pair")
-    if _complex_array(item, 0) is None:
-        raise ValueError(f"{where}: number too large for a double")
+    try:
+        complex(*item)  # only an int can lie past a double
+    except OverflowError:
+        raise ValueError(f"{where}: number too large for a double") from None
 
 
 def matrix_from_json(data) -> np.ndarray:

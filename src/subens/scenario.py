@@ -8,8 +8,8 @@ both qubits. The contribution tables computed here decompose each input into
 its four assignment-operator products and show how negative quasi-probability
 entries cancel the shared positive term wherever an outcome is excluded.
 
-Everything below is built from the read-only tables and checked once per
-process, on first use, and shared read-only; product_input caches each input.
+Everything below is built from the read-only tables and checked on first use,
+once per process, and shared read-only; the product inputs are built at import.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import compress, product
 from types import MappingProxyType
@@ -79,7 +80,8 @@ class ScenarioConsistencyError(RuntimeError):
 
 def eta_projector(i: int) -> np.ndarray:
     """Read-only projector onto entangled measurement state i (1-based), unchecked."""
-    if i not in OUTCOMES:
+    # an int, not a bool: True == 1 and 1.0 == 1 would pass the membership test
+    if not isinstance(i, int) or isinstance(i, bool) or i not in OUTCOMES:
         raise ValueError(f"outcome index must be one of {OUTCOMES}, got {i!r}")
     return _scenario().projectors[OUTCOMES.index(i)]
 
@@ -90,14 +92,8 @@ def _scenario() -> _Scenario:
     return _build(ETA_EXPANSIONS)
 
 
-@dataclass(frozen=True, eq=False)
-class _Scenario:
-    """One build: ``basis`` is None when the measurement failed its check."""
-
-    projectors: np.ndarray
-    tables: tuple
-    report: ParadoxReport
-    basis: EtaBasis | None
+# one build: ``basis`` is None when the measurement failed its check
+_Scenario = namedtuple("_Scenario", "projectors tables report basis")
 
 
 def _build(tables) -> _Scenario:
@@ -250,11 +246,7 @@ def contribution_table(first: str, second: str) -> ContributionTable:
     return _scenario().tables[INPUT_PAIRS.index((first, second))]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "name passed detail")
 
 
 @dataclass(frozen=True)

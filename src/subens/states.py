@@ -13,7 +13,6 @@ __all__ = [
     "standard_ket",
 ]
 
-import functools
 import math
 
 import numpy as np
@@ -44,7 +43,12 @@ _PREPARATION_DENSITIES = {
     "0": 0.5 * (_I + _Z),
     "+": 0.5 * (_I + _X),
 }
-for _rho in _PREPARATION_DENSITIES.values():
+_PRODUCT_INPUTS = {
+    (a, b): np.kron(rho_a, rho_b)
+    for a, rho_a in _PREPARATION_DENSITIES.items()
+    for b, rho_b in _PREPARATION_DENSITIES.items()
+}
+for _rho in (*_PREPARATION_DENSITIES.values(), *_PRODUCT_INPUTS.values()):
     _rho.setflags(write=False)
 
 
@@ -58,14 +62,7 @@ def preparation_density(label: str) -> np.ndarray:
 
 def product_input(first: str, second: str) -> np.ndarray:
     """Read-only density rho(first) x rho(second) of a two-system product preparation,
-    built once per pair."""
-    for label in (first, second):  # before the cache, which would raise TypeError on a list
+    one of four built at import."""
+    for label in (first, second):  # so that the first bad label is the one named
         preparation_density(label)
-    return _product_density(first, second)
-
-
-@functools.cache
-def _product_density(first: str, second: str) -> np.ndarray:
-    rho = np.kron(preparation_density(first), preparation_density(second))
-    rho.setflags(write=False)
-    return rho
+    return _PRODUCT_INPUTS[first, second]

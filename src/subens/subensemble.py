@@ -28,7 +28,6 @@ __all__ = [
     "validate_density",
 ]
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,7 @@ class MeasurementBasis:
     ``matrix`` is the read-only d×d unitary V whose column f is the ket of
     outcome f; ``vectors`` yields those kets. ``labels`` names the outcomes,
     "0" to "d-1" unless given. ``name`` is set for the built-in Z and X
-    bases, which are built once per process, and None for ad-hoc bases.
+    bases, which are built at import, and None for ad-hoc bases.
     """
 
     matrix: np.ndarray
@@ -99,17 +98,17 @@ def basis_from_kets(kets, labels=None, name: str | None = None) -> MeasurementBa
     return MeasurementBasis(vectors=kets, labels=labels, name=name)
 
 
+_NAMED_BASES = {
+    name: MeasurementBasis([standard_ket(s) for s in labels], labels, name)
+    for name, labels in (("Z", ("0", "1")), ("X", ("+", "-")))
+}
+
+
 def named_basis(name: str) -> MeasurementBasis:
-    """The built-in Z basis (outcomes 0, 1) or X basis (outcomes +, -), built once per process."""
-    if name not in ("Z", "X"):  # before the cache, which would raise TypeError on a list
+    """The built-in Z basis (outcomes 0, 1) or X basis (outcomes +, -), built at import."""
+    if name not in ("Z", "X"):  # a list is no key of the table: it would raise TypeError
         raise ValueError(f"unknown basis name {name!r}; expected Z or X")
-    return _built_in_basis(name)
-
-
-@functools.cache
-def _built_in_basis(name: str) -> MeasurementBasis:
-    labels = ("0", "1") if name == "Z" else ("+", "-")
-    return basis_from_kets([standard_ket(s) for s in labels], labels=labels, name=name)
+    return _NAMED_BASES[name]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads as a NaN or inf, rejected

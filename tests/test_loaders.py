@@ -180,6 +180,22 @@ def test_ket_loads_exactly_as_complex_gives_it(amplitudes):
     assert np.array_equal(bits(ket_from_json(amplitudes)), bits(want))
 
 
+def test_well_formed_data_is_converted_in_one_call(monkeypatch):
+    # the walk checks each pair without an array of its own
+    calls = []
+
+    def counted(data, ndim):
+        calls.append(ndim)
+        return _complex_array(data, ndim)
+
+    monkeypatch.setattr(operators, "_complex_array", counted)
+    rows = [[[i + 0.5, -j] for j in range(8)] for i in range(8)]
+    assert matrix_from_json(rows).tolist() == [[complex(re, im) for re, im in r] for r in rows]
+    assert calls == [2]
+    assert ket_from_json(rows[3]).tolist() == [complex(re, im) for re, im in rows[3]]
+    assert calls == [2, 1]
+
+
 def proven(text: bytes) -> bool:
     """Whether the reader's byte proof holds for the text of a file."""
     return cli._proven(text)

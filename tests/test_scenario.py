@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -417,6 +418,29 @@ class TestBuiltOncePerTable:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (run.returncode, run.stdout, run.stderr) == (0, "0\n", "")
 
+    def test_fixed_inputs_are_built_at_import_and_the_scenario_is_not(self):
+        code = """if True:
+            import numpy as np
+            import subens.cli
+            from subens import scenario, subensemble
+            from subens.states import product_input
+            from subens.subensemble import named_basis
+
+            built = []
+            basis = subensemble.MeasurementBasis
+            init, kron = basis.__init__, np.kron
+            basis.__init__ = lambda *a, **k: built.append("basis") or init(*a, **k)
+            np.kron = lambda *a, **k: built.append("kron") or kron(*a, **k)
+            first = [named_basis("Z"), named_basis("X")]
+            first += [product_input(a, b) for a in "0+" for b in "0+"]
+            again = [named_basis("Z"), named_basis("X")]
+            again += [product_input(a, b) for a in "0+" for b in "0+"]
+            assert all(x is y for x, y in zip(first, again))
+            print(built, scenario._scenario.cache_info().currsize)
+        """
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "[] 0\n", "")
+
     def test_injected_build_is_seen_by_every_entry_point(self, monkeypatch):
         before = _results()
         counts = self._count_builds(monkeypatch)
@@ -532,6 +556,15 @@ class TestServedFromOneBuild:
             outcome_probability(1, "0", "1")
         with pytest.raises(ValueError, match="^outcome index must be one of"):
             outcome_probability(5, "0", "0")
+        # an outcome index is an int, not a bool, a float or a numpy scalar
+        for i in (True, 1.0, np.float64(2.0), np.int64(1)):
+            message = f"^outcome index must be one of \\(1, 2, 3, 4\\), got {re.escape(repr(i))}$"
+            with pytest.raises(ValueError, match=message):
+                eta_projector(i)
+            with pytest.raises(ValueError, match=message):
+                outcome_probability(i, "0", "+")
+            with pytest.raises(ValueError, match="^unknown preparation label '1'"):
+                outcome_probability(i, "0", "1")
 
 
 @st.composite
