@@ -66,33 +66,6 @@ def complex_cells(z) -> list:
     return _fill("\n".join(cells.tolist()), z).split("\n")
 
 
-def _frame(layers: tuple) -> tuple:
-    """The text before an array's first entry, the bytes before an entry whose
-    last r indices are 0, for each r, and the text after its last entry, for
-    layers, the (head, separator, tail) of each axis, outermost first."""
-    heads, seps, tails = zip(*layers)
-    ndim = len(layers)
-    between = [
-        "".join(tails[ndim - r :][::-1]) + seps[ndim - 1 - r] + "".join(heads[ndim - r :])
-        for r in range(ndim)
-    ]
-    return "".join(heads), tuple(b.encode() for b in between), "".join(tails[::-1])
-
-
-def _text(a: np.ndarray, layers: tuple) -> str:
-    """The doubles a of ``_doubles``, at least one axis and one entry, each axis
-    laid out by layers."""
-    heads, between, tails = _frame(layers)
-    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
-    # orjson writes "]" * r + "," + "[" * r before an entry whose last r indices are 0,
-    # and no number it writes holds "[", "]" or ","
-    text = text.replace(b",", between[0])
-    for r in range(a.ndim - 1, 0, -1):  # the longest first: "], [" is in "]], [["
-        text = text.replace(b"]" * r + between[0] + b"[" * r, between[r])
-    text = str(memoryview(text)[a.ndim : -a.ndim], "utf-8")  # frees the bytes: two copies at most
-    return "".join((heads, text, tails))
-
-
 def _scalar(v) -> str:
     """A bool, an integer or a float, Python's or numpy's, as JSON and CSV print
     it; any other object raises TypeError."""
@@ -107,13 +80,22 @@ def _scalar(v) -> str:
 
 def _array(write, a: np.ndarray, indent: int) -> None:
     """A real or complex array of at least one axis and one entry, laid out as
-    ``_emit`` lays out nested lists, a complex entry as an [re, im] pair."""
+    ``_emit`` lays out nested lists: the last axis on one line, each other axis an
+    entry per line, padded from indent; a complex entry as an [re, im] pair."""
     a = _doubles(a)
-    layers = tuple(
-        (f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]")
-        for pad in ("  " * (indent + axis) for axis in range(a.ndim - 1))
-    ) + (("[", ", ", "]"),)
-    write(_text(a, layers))
+    head, tail, seps = "[", "]", {}
+    for r in range(1, a.ndim):
+        # head and tail open and close the last r axes; seps[r] lays out "]" * r + ", " + "[" * r
+        pad = "\n" + "  " * (indent + a.ndim - 1 - r)
+        seps[r] = f"{tail},{pad}  {head}".encode()
+        head, tail = f"[{pad}  {head}", f"{tail}{pad}]"
+    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ")
+    # orjson writes "]" * r + "," + "[" * r before an entry whose last r indices are 0,
+    # and no number it writes holds "[", "]" or ","
+    for r in range(a.ndim - 1, 0, -1):  # the longest first: "], [" is in "]], [["
+        text = text.replace(b"]" * r + b", " + b"[" * r, seps[r])
+    text = str(memoryview(text)[a.ndim : -a.ndim], "utf-8")  # frees the bytes: two copies at most
+    write("".join((head, text, tail)))  # one copy: head + text + tail would make two
 
 
 def _emit(obj, write, indent: int) -> None:
@@ -136,9 +118,9 @@ def _emit(obj, write, indent: int) -> None:
             _emit(value, write, indent + 1)
             write(",\n" if i < len(obj) - 1 else "\n")
         write(pad + ("}" if keyed else "]"))
-    elif isinstance(obj, str) or obj is None:
+    elif isinstance(obj, str):
         write(json.dumps(obj))
-    else:  # any other object, an array without an axis or an entry too, raises
+    else:  # any other object, None and an array without an axis or an entry too, raises
         write(_scalar(obj))
 
 

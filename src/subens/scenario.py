@@ -10,6 +10,8 @@ entries cancel the shared positive term wherever an outcome is excluded.
 
 Everything below is built from the read-only tables and checked on first use,
 once per process, and shared read-only; the product inputs are built at import.
+Every entry point but ``verify_paradox`` serves only a measurement that passed
+that check, and raises ScenarioConsistencyError with the check's reason otherwise.
 """
 
 from __future__ import annotations
@@ -79,30 +81,34 @@ class ScenarioConsistencyError(RuntimeError):
 
 
 def eta_projector(i: int) -> np.ndarray:
-    """Read-only projector onto entangled measurement state i (1-based), unchecked."""
+    """Read-only projector onto entangled measurement state i (1-based) of the
+    checked measurement; raises as ``eta_basis`` does if it failed its check."""
     # an int, not a bool: True == 1 and 1.0 == 1 would pass the membership test
     if not isinstance(i, int) or isinstance(i, bool) or i not in OUTCOMES:
         raise ValueError(f"outcome index must be one of {OUTCOMES}, got {i!r}")
-    return _scenario().projectors[OUTCOMES.index(i)]
+    return eta_basis().projectors[OUTCOMES.index(i)]
 
 
 @functools.cache
-def _scenario() -> _Scenario:
-    """The build of ETA_EXPANSIONS, made on first use, not at import."""
+def _scenario() -> tuple:
+    """The (report, basis) of ETA_EXPANSIONS, built on first use, not at import."""
     return _build(ETA_EXPANSIONS)
 
 
-# one build: ``basis`` is None when the measurement failed its check
-_Scenario = namedtuple("_Scenario", "projectors tables report basis")
-
-
-def _build(tables) -> _Scenario:
-    """Every result of the tables (outcome -> Pauli coefficients), checked, its arrays read-only."""
+def _build(tables) -> tuple:
+    """The report of the tables (outcome -> Pauli coefficients) and, if the measurement
+    passes its construction check, its basis, else None and a report of that one check.
+    Every array is read-only."""
     expansions = tuple(PauliExpansion(n=2, coeffs=tables[i]) for i in OUTCOMES)
     projectors = np.stack([pauli_synthesize(e) for e in expansions])
     densities = np.stack([product_input(*pair) for pair in INPUT_PAIRS])
     # (outcome, input) Born matrix over INPUT_PAIRS, never clamped
     born = np.einsum("oij,nji->on", projectors, densities).real
+    try:
+        excluded = _excluded_inputs(projectors, born)
+    except ScenarioConsistencyError as exc:
+        failed = CheckResult("measurement-construction", False, str(exc))
+        return ParadoxReport(checks=(failed,)), None
     contributions = _contributions(projectors)
     negative = contributions < -ATOL
     for a in (projectors, born, contributions):
@@ -111,11 +117,6 @@ def _build(tables) -> _Scenario:
         ContributionTable(*pair, labels, entries, tuple(tuple(compress(OUTCOMES, r)) for r in mask))
         for pair, labels, entries, mask in zip(INPUT_PAIRS, _ROW_LABELS, contributions, negative)
     )
-    try:
-        excluded = _excluded_inputs(projectors, born)
-    except ScenarioConsistencyError as exc:
-        report = ParadoxReport(checks=(CheckResult("measurement-construction", False, str(exc)),))
-        return _Scenario(projectors, tables, report, None)
     # P = |k><k|, so |k> = P e_j / sqrt(P_jj): real positive at the first j with |k_j| > ATOL
     diagonals = np.diagonal(projectors, axis1=1, axis2=2).real
     first = (diagonals > ATOL**2).argmax(axis=1)
@@ -127,8 +128,7 @@ def _build(tables) -> _Scenario:
         excluded_input=MappingProxyType({i: INPUT_PAIRS[n] for i, n in zip(OUTCOMES, excluded)}),
         expansions=expansions,
     )
-    report = _report(born, contributions, negative, tables, excluded)
-    return _Scenario(projectors, tables, report, basis)
+    return _report(born, contributions, negative, tables, excluded), basis
 
 
 def _contributions(projectors: np.ndarray) -> np.ndarray:
@@ -210,14 +210,15 @@ def eta_basis() -> EtaBasis:
     rank-1 / orthogonality / completeness checks or do not produce the
     one-excluded-input-per-outcome pattern with outcome 1 excluding "00".
     """
-    built = _scenario()
-    if built.basis is None:
-        raise ScenarioConsistencyError(built.report.checks[0].detail)
-    return built.basis
+    report, basis = _scenario()
+    if basis is None:
+        raise ScenarioConsistencyError(report.checks[0].detail)
+    return basis
 
 
 def outcome_probability(i: int, first: str, second: str) -> float:
-    """Born probability of outcome i for the product input, never clamped."""
+    """Born probability of outcome i of the checked measurement for the product
+    input, never clamped; raises as ``eta_basis`` does if it failed its check."""
     rho = product_input(first, second)  # first, so a bad label wins over a bad i
     return float(np.trace(eta_projector(i) @ rho).real)
 
@@ -240,10 +241,12 @@ class ContributionTable:
 
 
 def contribution_table(first: str, second: str) -> ContributionTable:
-    """Contribution of each assignment-product sub-ensemble to each outcome."""
+    """Contribution of each assignment-product sub-ensemble to each outcome of the
+    checked measurement; raises as ``eta_basis`` does if it failed its check."""
     if (first, second) not in INPUT_PAIRS:
         raise ValueError(f"unknown preparation labels {first!r}, {second!r}; expected 0 or +")
-    return _scenario().tables[INPUT_PAIRS.index((first, second))]
+    eta_basis()  # raises if the measurement failed its check
+    return _scenario()[0].tables[INPUT_PAIRS.index((first, second))]
 
 
 CheckResult = namedtuple("CheckResult", "name passed detail")
@@ -274,7 +277,7 @@ def verify_paradox() -> ParadoxReport:
     Never raises: a broken construction shows up as a failed check so that
     callers can render the report and map it to an exit status.
     """
-    return _scenario().report
+    return _scenario()[0]
 
 
 def _report(born, contributions, negative, tables: tuple, excluded: np.ndarray) -> ParadoxReport:

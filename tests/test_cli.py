@@ -205,7 +205,8 @@ class TestVerify:
     def test_failed_construction_stops_each_command_with_its_reason(
         self, capsys, monkeypatch, argv
     ):
-        # outcome_probability and contribution_table do not check the measurement; the commands do
+        # each command's entry point raises the check's reason: eta_basis, outcome_probability
+        # and contribution_table serve only a measurement that passed its check
         inject_tables(monkeypatch, {1: {**scenario.ETA_EXPANSIONS[1], "XX": 0.26}})
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")

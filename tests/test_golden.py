@@ -30,8 +30,12 @@ Which digests hold on every platform:
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,42 @@ def test_stdout_digest(capsys, tmp_path, name):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == GOLDEN[name], f"stdout of {name} changed; it is now:\n{out}"
+
+
+# the 45 digests that hold on every platform (see the module docstring)
+PORTABLE = sorted(
+    name
+    for name in GOLDEN
+    if name.startswith(("eta.", "verify.", "prob.", "table.", "decompose.plus.Z."))
+    or ".zero." in name
+)
+
+# prints each portable case's name and digest, with the state files in argv[1]
+_DIGESTS = """if True:
+    import contextlib, hashlib, io, pathlib, sys
+    import test_golden
+
+    for name in test_golden.PORTABLE:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert test_golden.main(test_golden._argv(name, pathlib.Path(sys.argv[1]))) == 0
+        print(name, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("kernel", ["Sandybridge", "Prescott"])
+def test_portable_digests_hold_under_a_blas_kernel_without_fma(tmp_path, kernel):
+    # OpenBLAS picks its kernel at load, so each runs in a fresh interpreter; where a
+    # kernel is missing it falls back to its default, under which the 45 hold too
+    assert len(PORTABLE) == 45
+    tests = str(Path(__file__).resolve().parent)
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [tests, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _DIGESTS, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "".join(f"{name} {GOLDEN[name]}\n" for name in PORTABLE)
 
 
 # The most a number that decompose or mh prints may differ from its exact value:

@@ -3,10 +3,11 @@
 ``fmt.dumps``, ``fmt.csv_line``, ``fmt.render_table`` and the pretty complex
 cells format each array in one pass. Here every entry is formatted on its own
 by the reference in ``helpers``, over real and complex arrays of 1-3
-dimensions with at least one entry, the only arrays the renderers print, with
--0.0, the smallest subnormal, values near the largest double and integral
-floats among the entries. A complex array prints as its re then im in CSV
-too, and an array of any other dtype is refused.
+dimensions (1-4 for JSON, at indents 0-3) with at least one entry, the only
+arrays the renderers print, with -0.0, the smallest subnormal, values near
+the largest double and integral floats among the entries. A complex array
+prints as its re then im in CSV too, and an array of any other dtype is
+refused.
 
 JSON and CSV print each double through orjson as the shortest decimal that
 reads back as it. The reference spells ``repr``'s digits by the rule that the
@@ -64,11 +65,22 @@ def real_entries(a):
     return np.ascontiguousarray(a).view(float) if np.iscomplexobj(a) else a
 
 
+# up to four axes, and five with a complex entry's [re, im] pair
+deep_shapes = hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=4)
+deep_arrays = st.one_of(
+    hnp.arrays(float, deep_shapes, elements=values), complex_arrays(deep_shapes)
+)
+
+
 @RENDER_SETTINGS
-@given(arrays)
-def test_dumps(a):
-    assert fmt.dumps(a) == reference_json(a)
-    assert fmt.dumps({"a": a}) == '{\n  "a": ' + reference_json(a, 1) + "\n}"
+@given(deep_arrays, st.integers(0, 3))
+def test_dumps(a, indent):
+    # the array at indent, as the value of a dict nested indent deep
+    doc, want = a, reference_json(a, indent)
+    for depth in range(indent - 1, -1, -1):
+        pad = "  " * depth
+        doc, want = {"a": doc}, "{\n" + pad + '  "a": ' + want + "\n" + pad + "}"
+    assert fmt.dumps(doc) == want
     # the transpose is not C-contiguous, which orjson refuses to read
     assert fmt.dumps(a.T) == reference_json(a.T)
 
@@ -196,6 +208,8 @@ REFUSED = {
     "csv-empty": (lambda: fmt.csv_line(["a", np.zeros(0)]), ARRAY),
     "csv-0d": (lambda: fmt.csv_line(["a"], [np.array(0.5)]), ARRAY),
     "csv-none": (lambda: fmt.csv_line(["a", None]), "cannot serialize NoneType"),
+    "json-none": (lambda: fmt.dumps(None), "cannot serialize NoneType"),
+    "json-none-value": (lambda: fmt.dumps({"a": None}), "cannot serialize NoneType"),
     "complex-cells-empty": (lambda: fmt.complex_cells(np.zeros(0)), NO_ENTRIES),
     "table-empty": (lambda: fmt.render_table(["q"], [], np.zeros((0, 1))), NO_ENTRIES),
 }

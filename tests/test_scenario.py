@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import subens.scenario as scenario
 from subens import (
     ATOL,
-    PauliExpansion,
     ScenarioConsistencyError,
     almost_equal,
     assignment_operator,
@@ -22,7 +21,6 @@ from subens import (
     negativity,
     outcome_probability,
     pauli_expand,
-    pauli_synthesize,
     preparation_density,
     product_input,
     projector_from_ket,
@@ -112,12 +110,16 @@ class TestEtaBasis:
 
     def test_stacks_are_the_build_arrays(self):
         basis = eta_basis()
-        assert basis.projectors is scenario._scenario().projectors
+        assert basis is scenario._scenario()[1]
         assert basis.kets.shape == (4, 4)
+        # each projector is a view of the one stack, not a copy
+        for i in (1, 2, 3, 4):
+            assert eta_projector(i).base is basis.projectors
+            assert np.array_equal(eta_projector(i), basis.projectors[i - 1])
 
     def test_rank_one_check_reads_the_complex_trace(self):
         # trace 1 + 2e-12j: Hermitian and idempotent within ATOL, trace not 1
-        projectors = scenario._scenario().projectors.copy()
+        projectors = eta_basis().projectors.copy()
         projectors[0] = projectors[0] + 0.5e-12j * np.eye(4)
         with pytest.raises(ScenarioConsistencyError) as exc:
             scenario._excluded_inputs(projectors, _born(projectors))
@@ -195,9 +197,17 @@ class TestOutcomeProbability:
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_defective_measurement_is_not_clamped(self, monkeypatch):
-        # a negative probability must reach the checks that would catch it
+        # the negative probability reaches the check that catches it unclamped, and no caller
+        seen = []
+        check = scenario._excluded_inputs
+        monkeypatch.setattr(
+            scenario, "_excluded_inputs", lambda p, born: seen.append(born) or check(p, born)
+        )
         inject_tables(monkeypatch, {1: {**scenario.ETA_EXPANSIONS[1], "ZZ": -0.5}})
-        assert outcome_probability(1, "0", "0") == -0.25
+        assert seen[0][0, 0] == -0.25
+        with pytest.raises(ScenarioConsistencyError) as exc:
+            outcome_probability(1, "0", "0")
+        assert str(exc.value) == verify_paradox().checks[0].detail
 
 
 class TestContributionTable:
@@ -446,29 +456,32 @@ class TestBuiltOncePerTable:
         counts = self._count_builds(monkeypatch)
         tables = {1: {**scenario.ETA_EXPANSIONS[1], "ZZ": -0.5}}
         inject_tables(monkeypatch, tables)
-        projector = pauli_synthesize(PauliExpansion(n=2, coeffs=tables[1]))
 
         message = (
             "outcome 1 coefficients do not synthesize a rank-1 projector: "
             "not idempotent, max|P1^2 - P1| = 0.312 exceeds tolerance 1e-12"
         )
-        with pytest.raises(ScenarioConsistencyError) as exc:
-            eta_basis()
-        assert str(exc.value) == message
         (check,) = verify_paradox().checks
         assert (check.passed, check.detail) == (False, message)
-        assert np.array_equal(eta_projector(1), projector)
-        assert outcome_probability(1, "0", "0") == -0.25
-        table = contribution_table("0", "0")
-
-        def assignment(component):  # "0+" -> R(0+)
-            z, x = (projector_from_ket(standard_ket(label)) for label in component)
-            return assignment_operator(z, x)
-
-        products = [np.kron(assignment(r[1:3]), assignment(r[4:6])) for r in table.row_labels]
-        assert almost_equal(table.entries[:, 0], [np.trace(projector @ r).real for r in products])
-        # one build served all five entry points
-        assert counts == {"pauli_synthesize": 4, "assignment_operator": 3}
+        # the other four entry points serve only a measurement that passed its check
+        for entry_point in (
+            eta_basis,
+            lambda: eta_projector(1),
+            lambda: outcome_probability(1, "0", "0"),
+            lambda: contribution_table("0", "0"),
+        ):
+            with pytest.raises(ScenarioConsistencyError) as exc:
+                entry_point()
+            assert str(exc.value) == message
+        # after their own label and index checks
+        with pytest.raises(ValueError, match="^outcome index must be one of"):
+            eta_projector(5)
+        with pytest.raises(ValueError, match="^unknown preparation label '1'"):
+            outcome_probability(1, "0", "1")
+        with pytest.raises(ValueError, match="^unknown preparation labels '1', '0'"):
+            contribution_table("1", "0")
+        # one build served all five entry points, and stopped at its failed check
+        assert counts == {"pauli_synthesize": 4, "assignment_operator": 0}
 
         monkeypatch.undo()
         assert _results() == before
